@@ -5,6 +5,7 @@
 package imli_test
 
 import (
+	"context"
 	"testing"
 
 	imli "repro"
@@ -353,6 +354,42 @@ func BenchmarkStreamMaterialization(b *testing.B) {
 		c := workload.NewStreamCache(0, "")
 		if st := c.Get(bench, 40000); st == nil {
 			b.Fatal("stream declined")
+		}
+	}
+}
+
+// BenchmarkRunItem measures the per-item cost a fleet worker pays: a
+// 2K-record gshare item through Engine.RunItem, where set-up (name
+// checks, benchmark lookup, predictor construction, stream
+// materialization) outweighs the simulation itself. Iterations walk
+// the cbp4 traces at budgets 2000..2999, so every item asks for a new
+// (trace, budget) stream and the stream cache misses as it does for a
+// fleet of distinct jobs; the cache is kept small so the benchmark's
+// memory stays bounded.
+func BenchmarkRunItem(b *testing.B) {
+	e := sim.NewEngine(sim.EngineConfig{Workers: 1, StreamMemory: 16 << 20})
+	benches := workload.CBP4()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bench := benches[i%len(benches)]
+		item := sim.ItemSpec{Config: "gshare", Suite: "cbp4", Bench: bench.Name, Seed: bench.Seed,
+			Budget: 2000 + (i/len(benches))%1000, Shards: 1, Warmup: sim.DefaultShardWarmup}
+		if _, err := e.RunItem(ctx, item); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkItemSpecValidate measures the name and geometry check a
+// worker runs on every leased item.
+func BenchmarkItemSpecValidate(b *testing.B) {
+	item := sim.ItemSpec{Config: "gshare", Suite: "cbp4", Bench: "SPEC2K6-00", Budget: 2000, Shards: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := item.Validate(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

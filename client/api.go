@@ -24,6 +24,12 @@ package client
 
 import "time"
 
+// MaxRequestBytes bounds every JSON request body the service reads
+// (POST /v1/jobs, /v1/work/lease and /v1/work/complete); a larger body
+// is answered 413. The largest real body, an exact chain's completion,
+// is about 200 bytes per shard.
+const MaxRequestBytes = 1 << 20
+
 // JobType selects what a job simulates.
 type JobType string
 

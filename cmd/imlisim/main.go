@@ -212,7 +212,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown suite %q (want cbp4 or cbp3)", *suite)
 		}
-		if _, err := predictor.New(*config); err != nil {
+		if err := predictor.Check(*config); err != nil {
 			return err
 		}
 		engine, done, err := newEngine()

@@ -245,7 +245,7 @@ func SimulateSuite(config, suite string, budget int, opts ...Option) (SuiteRun, 
 	if !ok {
 		return SuiteRun{}, fmt.Errorf("imli: unknown suite %q (want cbp4 or cbp3)", suite)
 	}
-	if _, err := predictor.New(config); err != nil {
+	if err := predictor.Check(config); err != nil {
 		return SuiteRun{}, err
 	}
 	o, err := applyOptions(opts)

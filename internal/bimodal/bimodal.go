@@ -22,10 +22,7 @@ func New(entries, bits int) *Table {
 	}
 	n := num.Pow2Ceil(entries)
 	t := &Table{ctr: make([]uint8, n), mask: uint64(n - 1), bits: bits}
-	weak := uint8(1<<(bits-1)) - 0 // weakly taken boundary
-	for i := range t.ctr {
-		t.ctr[i] = weak
-	}
+	num.Fill(t.ctr, uint8(1<<(bits-1))) // weakly taken boundary
 	return t
 }
 

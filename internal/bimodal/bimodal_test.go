@@ -1,6 +1,9 @@
 package bimodal
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestLearnsBias(t *testing.T) {
 	tb := New(1024, 2)
@@ -76,4 +79,17 @@ func TestPanicsOnBadBits(t *testing.T) {
 		}
 	}()
 	New(64, 0)
+}
+
+// TestNewTableMatchesPerByteInit: New fills its counters with
+// num.Fill; the table must equal a per-byte weakly-taken loop.
+func TestNewTableMatchesPerByteInit(t *testing.T) {
+	tb := New(16384, 2)
+	want := make([]uint8, 16384)
+	for i := range want {
+		want[i] = 2
+	}
+	if !slices.Equal(tb.ctr, want) {
+		t.Fatal("bimodal.New(16384, 2) counters differ from per-byte initialisation")
+	}
 }

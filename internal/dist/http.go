@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"repro/client"
@@ -30,8 +31,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req client.WorkLeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeHTTPError(w, http.StatusBadRequest, "bad lease request: "+err.Error())
+	if !readJSON(w, r, &req, "bad lease request: ") {
 		return
 	}
 	l, ok := c.Lease(req.Worker)
@@ -44,11 +44,28 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var comp client.WorkCompletion
-	if err := json.NewDecoder(r.Body).Decode(&comp); err != nil {
-		writeHTTPError(w, http.StatusBadRequest, "bad completion: "+err.Error())
+	if !readJSON(w, r, &comp, "bad completion: ") {
 		return
 	}
 	writeJSON(w, http.StatusOK, c.Complete(comp))
+}
+
+// readJSON decodes r's body into v, reading at most
+// client.MaxRequestBytes. On failure it answers 413 for an oversized
+// body and 400 for anything else, with msg prefixed to the decode
+// error, and returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any, msg string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, client.MaxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeHTTPError(w, code, msg+err.Error())
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -25,9 +25,7 @@ func New(entries, histBits int) *Predictor {
 		histBits = idxBits
 	}
 	p := &Predictor{ctr: make([]uint8, n), mask: uint64(n - 1), histBits: histBits, ctrBits: 2}
-	for i := range p.ctr {
-		p.ctr[i] = 2 // weakly taken
-	}
+	num.Fill(p.ctr, 2) // weakly taken
 	return p
 }
 

@@ -1,6 +1,9 @@
 package gshare
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestLearnsPattern(t *testing.T) {
 	// A TNTN pattern is invisible to bimodal but trivial for gshare.
@@ -56,5 +59,18 @@ func TestStorageBits(t *testing.T) {
 	p := New(65536, 16)
 	if got := p.StorageBits(); got != 65536*2+16 {
 		t.Errorf("StorageBits = %d", got)
+	}
+}
+
+// TestNewTableMatchesPerByteInit: New fills its counters with
+// num.Fill; the table must equal a per-byte weakly-taken loop.
+func TestNewTableMatchesPerByteInit(t *testing.T) {
+	p := New(65536, 16)
+	want := make([]uint8, 65536)
+	for i := range want {
+		want[i] = 2
+	}
+	if !slices.Equal(p.ctr, want) {
+		t.Fatal("gshare.New(65536, 16) counters differ from per-byte initialisation")
 	}
 }

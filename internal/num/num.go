@@ -143,3 +143,17 @@ func Pow2Ceil(n int) int {
 	}
 	return p
 }
+
+// Fill sets every element of s to v. It writes the first element and
+// then doubles the filled prefix with copy, so initialising a large
+// counter table costs a handful of memmoves instead of one store per
+// element.
+func Fill[T any](s []T, v T) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
+	}
+}

@@ -1,6 +1,7 @@
 package num
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -217,5 +218,24 @@ func TestPow2CeilLog2Property(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFillMatchesLoop: Fill's doubling copies must leave exactly what
+// a per-element loop does, at the lengths where the last copy is
+// partial (3, 65537), whole (2, 65536) or absent (1).
+func TestFillMatchesLoop(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 65536, 65537} {
+		got, want := make([]uint8, n), make([]uint8, n)
+		for i := range got {
+			got[i] = uint8(i * 7) // stale contents Fill must overwrite
+		}
+		Fill(got, 2)
+		for i := range want {
+			want[i] = 2
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("Fill over %d elements differs from a per-element loop", n)
+		}
 	}
 }

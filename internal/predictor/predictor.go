@@ -65,13 +65,23 @@ func Register(name string, b Builder) {
 	registry[name] = b
 }
 
+// Check reports whether name is a registered configuration, returning
+// exactly the error New would, without building the predictor: the
+// sites that only validate a name (work items, job submissions, suite
+// runs) call it instead of allocating full table state.
+func Check(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("predictor: unknown configuration %q", name)
+	}
+	return nil
+}
+
 // New builds the named configuration.
 func New(name string) (Predictor, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("predictor: unknown configuration %q", name)
+	if err := Check(name); err != nil {
+		return nil, err
 	}
-	return b(), nil
+	return registry[name](), nil
 }
 
 // MustNew builds the named configuration and panics on error; for

@@ -129,8 +129,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec client.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, &httpError{code: http.StatusBadRequest, msg: "bad job spec: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, client.MaxRequestBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, &httpError{code: code, msg: "bad job spec: " + err.Error()})
 		return
 	}
 	view, err := s.Submit(spec)

@@ -2,9 +2,11 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -415,5 +417,32 @@ func TestHealthz503WhileDraining(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestSubmitOversizedBody413: a job spec body past
+// client.MaxRequestBytes is refused with 413 in the JSON error
+// envelope, and no job is created.
+func TestSubmitOversizedBody413(t *testing.T) {
+	srv := serve.NewServer(serve.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	body := `{"type":"suite","config":"gshare","suite":"cbp4","bench":"` +
+		strings.Repeat("a", client.MaxRequestBytes) + `"}`
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("413 body is not the JSON error envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env["error"] == "" {
+		t.Fatalf("oversized submit = %d %v, want 413 with an error message", resp.StatusCode, env)
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized submit created %d jobs", len(jobs))
 	}
 }

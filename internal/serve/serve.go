@@ -218,7 +218,7 @@ func (s *Server) normalize(spec client.Spec) (client.Spec, error) {
 		if _, ok := s.suites[spec.Suite]; !ok {
 			return spec, fmt.Errorf("unknown suite %q (want cbp4 or cbp3)", spec.Suite)
 		}
-		if _, err := predictor.New(spec.Config); err != nil {
+		if err := predictor.Check(spec.Config); err != nil {
 			return spec, err
 		}
 	case client.JobBench:
@@ -228,7 +228,7 @@ func (s *Server) normalize(spec client.Spec) (client.Spec, error) {
 		if _, err := workload.ByName(spec.Bench); err != nil {
 			return spec, err
 		}
-		if _, err := predictor.New(spec.Config); err != nil {
+		if err := predictor.Check(spec.Config); err != nil {
 			return spec, err
 		}
 	case client.JobExperiment:

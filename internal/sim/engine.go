@@ -145,11 +145,8 @@ type Engine struct {
 	// the machine.
 	sem chan struct{}
 	// remote, when non-nil, dispatches registry-rebuildable work items
-	// to another process (DESIGN.md §14); remoteOK caches the
-	// per-config eligibility verdict (predictor construction is
-	// expensive).
+	// to another process (DESIGN.md §14).
 	remote    RemoteRunner
-	remoteOK  sync.Map
 	simulated atomic.Uint64
 	hits      atomic.Uint64
 	records   atomic.Uint64

@@ -50,25 +50,33 @@ type ItemSpec struct {
 // Validate checks that the item can be reconstructed from the local
 // registries and that its geometry is coherent.
 func (it ItemSpec) Validate() error {
-	if _, err := predictor.New(it.Config); err != nil {
-		return fmt.Errorf("sim: item config: %w", err)
+	_, err := it.resolve()
+	return err
+}
+
+// resolve validates the item and returns its benchmark definition, so
+// RunItem looks the benchmark up once.
+func (it ItemSpec) resolve() (workload.Benchmark, error) {
+	if err := predictor.Check(it.Config); err != nil {
+		return workload.Benchmark{}, fmt.Errorf("sim: item config: %w", err)
 	}
-	if _, err := workload.ByName(it.Bench); err != nil {
-		return fmt.Errorf("sim: item bench: %w", err)
+	b, err := workload.ByName(it.Bench)
+	if err != nil {
+		return workload.Benchmark{}, fmt.Errorf("sim: item bench: %w", err)
 	}
 	if it.Budget <= 0 {
-		return fmt.Errorf("sim: item budget must be positive, got %d", it.Budget)
+		return b, fmt.Errorf("sim: item budget must be positive, got %d", it.Budget)
 	}
 	if it.Shards < 1 {
-		return fmt.Errorf("sim: item shards must be >= 1, got %d", it.Shards)
+		return b, fmt.Errorf("sim: item shards must be >= 1, got %d", it.Shards)
 	}
 	if it.Shard < 0 || (!it.Exact && it.Shard >= it.Shards) {
-		return fmt.Errorf("sim: item shard %d out of range [0,%d)", it.Shard, it.Shards)
+		return b, fmt.Errorf("sim: item shard %d out of range [0,%d)", it.Shard, it.Shards)
 	}
 	if it.Warmup < 0 {
-		return fmt.Errorf("sim: item warmup must be >= 0, got %d", it.Warmup)
+		return b, fmt.Errorf("sim: item warmup must be >= 0, got %d", it.Warmup)
 	}
-	return nil
+	return b, nil
 }
 
 // RemoteRunner executes one work item somewhere else — the seam the
@@ -94,18 +102,12 @@ type RemoteRunner interface {
 // reconstructible by name from the registries on the other side.
 // Engine callers' contract that a config name uniquely identifies what
 // its builder builds (RunSuite) is what makes the by-name rebuild
-// equivalent. Predictor construction allocates full table state, so
-// the per-config verdict is cached.
+// equivalent.
 func (e *Engine) remoteEligible(config, bench string) bool {
 	if _, err := workload.ByName(bench); err != nil {
 		return false
 	}
-	if ok, hit := e.remoteOK.Load(config); hit {
-		return ok.(bool)
-	}
-	_, err := predictor.New(config)
-	e.remoteOK.Store(config, err == nil)
-	return err == nil
+	return predictor.Check(config) == nil
 }
 
 // RunItem executes one work item on this engine with the item's own
@@ -118,10 +120,7 @@ func (e *Engine) remoteEligible(config, bench string) bool {
 // die. A canceled ctx returns ctx.Err() — never a partial exact
 // chain.
 func (e *Engine) RunItem(ctx context.Context, item ItemSpec) (results []Result, err error) {
-	if err := item.Validate(); err != nil {
-		return nil, err
-	}
-	b, err := workload.ByName(item.Bench)
+	b, err := item.resolve()
 	if err != nil {
 		return nil, err
 	}

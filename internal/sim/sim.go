@@ -213,7 +213,7 @@ func (s SuiteRun) ByTrace(name string) (Result, bool) {
 // of the suite, in parallel across CPUs (a fresh single-use engine;
 // see Engine for sharding and caching controls).
 func RunSuite(config, suite string, benches []workload.Benchmark, budget int) (SuiteRun, error) {
-	if _, err := predictor.New(config); err != nil {
+	if err := predictor.Check(config); err != nil {
 		return SuiteRun{}, err
 	}
 	builder := func() predictor.Predictor { return predictor.MustNew(config) }

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/num"
 	"repro/internal/trace"
@@ -211,10 +213,36 @@ func mk(name, suite string, parts ...[]part) Benchmark {
 	return b
 }
 
+// suiteTables holds both suites and a name index over them.
+type suiteTables struct {
+	cbp4, cbp3 []Benchmark
+	byName     map[string]Benchmark
+}
+
+// tables builds the suite definitions once: they are pure data, and
+// ByName sits on the path of every remote work item. The accessors
+// below hand out copies of the slices, because callers own what they
+// get; the parts slices stay shared, since only construction writes
+// them.
+var tables = sync.OnceValue(func() suiteTables {
+	t := suiteTables{cbp4: buildCBP4(), cbp3: buildCBP3()}
+	t.byName = make(map[string]Benchmark, len(t.cbp4)+len(t.cbp3))
+	for _, b := range slices.Concat(t.cbp4, t.cbp3) {
+		t.byName[b.Name] = b
+	}
+	return t
+})
+
 // CBP4 returns the 40-trace CBP4-like suite. The named special
 // benchmarks carry the correlation kernels the paper attributes to
 // them (see DESIGN.md §2).
-func CBP4() []Benchmark {
+func CBP4() []Benchmark { return slices.Clone(tables().cbp4) }
+
+// CBP3 returns the 40-trace CBP3-like suite (higher base misprediction
+// rates, like the paper's CBP3 numbers).
+func CBP3() []Benchmark { return slices.Clone(tables().cbp3) }
+
+func buildCBP4() []Benchmark {
 	var out []Benchmark
 	for i := 0; i < 20; i++ {
 		name := fmt.Sprintf("SPEC2K6-%02d", i)
@@ -290,9 +318,7 @@ func CBP4() []Benchmark {
 	return out
 }
 
-// CBP3 returns the 40-trace CBP3-like suite (higher base misprediction
-// rates, like the paper's CBP3 numbers).
-func CBP3() []Benchmark {
+func buildCBP3() []Benchmark {
 	var out []Benchmark
 	for i := 1; i <= 10; i++ {
 		name := fmt.Sprintf("CLIENT%02d", i)
@@ -397,15 +423,14 @@ func Suites() map[string][]Benchmark {
 
 // All returns every benchmark of both suites, CBP4 first.
 func All() []Benchmark {
-	return append(CBP4(), CBP3()...)
+	t := tables()
+	return slices.Concat(t.cbp4, t.cbp3)
 }
 
 // ByName returns the named benchmark.
 func ByName(name string) (Benchmark, error) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, nil
-		}
+	if b, ok := tables().byName[name]; ok {
+		return b, nil
 	}
 	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }

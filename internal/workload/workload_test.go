@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/num"
@@ -265,6 +266,70 @@ func TestShardSegmentsMatchStream(t *testing.T) {
 			if prefix[i] != full[i] {
 				t.Fatalf("record %d differs between prefix and full stream", i)
 			}
+		}
+	}
+}
+
+// TestAccessorsDoNotAliasTables: the suite tables are built once and
+// shared, so every accessor must hand its caller a slice of its own.
+// Writing through every element a caller got must reach neither later
+// calls nor ByName.
+func TestAccessorsDoNotAliasTables(t *testing.T) {
+	want := append([]Benchmark(nil), All()...)
+	clobber := func(bs []Benchmark) {
+		for i := range bs {
+			bs[i].Name = "clobbered"
+			bs[i].Seed = 0
+		}
+	}
+	clobber(CBP4())
+	clobber(CBP3())
+	clobber(All())
+	for _, bs := range Suites() {
+		clobber(bs)
+	}
+
+	check := func(what string, got, want []Benchmark) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d benchmarks, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Name != want[i].Name || got[i].Suite != want[i].Suite || got[i].Seed != want[i].Seed {
+				t.Errorf("%s[%d] = %s/%s seed %d, want %s/%s seed %d", what, i,
+					got[i].Suite, got[i].Name, got[i].Seed, want[i].Suite, want[i].Name, want[i].Seed)
+			}
+		}
+	}
+	check("CBP4()", CBP4(), want[:40])
+	check("CBP3()", CBP3(), want[40:])
+	check("All()", All(), want)
+	check(`Suites()["cbp4"]`, Suites()["cbp4"], want[:40])
+	check(`Suites()["cbp3"]`, Suites()["cbp3"], want[40:])
+	for _, w := range want {
+		b, err := ByName(w.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ByName("+w.Name+")", []Benchmark{b}, []Benchmark{w})
+	}
+}
+
+// TestByNameGeneratesSameStream: the name index holds the very
+// definitions All returns, kernels included.
+func TestByNameGeneratesSameStream(t *testing.T) {
+	records := func(b Benchmark) []trace.Record {
+		var out []trace.Record
+		b.Generate(2000, func(r trace.Record) { out = append(out, r) })
+		return out
+	}
+	for _, b := range All() {
+		got, err := ByName(b.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(records(got), records(b)) {
+			t.Errorf("ByName(%q) generates a different stream than All()'s entry", b.Name)
 		}
 	}
 }
