@@ -23,16 +23,12 @@ import (
 // for one record. Predict and Train fire on conditional branches,
 // TrackOther on everything else — together they cover the per-branch
 // protocol the engine runs (DESIGN.md §7). The staged entries run the
-// same record through the interleaved driver's protocol (DESIGN.md
-// §13): the three predict stages, the split train halves and the
-// batched history advance. They no-op for registry adapters that are
-// not composites (the engine's interleaved path falls back to the
-// serial driver for those).
+// same record through the stage decomposition Predict and Train
+// compose (DESIGN.md §13): the three predict stages and the split
+// train halves. They no-op for registry adapters that are not
+// composites, which have no staged path.
 func drivers(p predictor.Predictor) map[string]func(trace.Record) {
 	comp, _ := p.(*predictor.Composite)
-	var adv predictor.Advancer
-	cs := []*predictor.Composite{comp}
-	ev := make([]predictor.Advance, 1)
 	return map[string]func(trace.Record){
 		"Predict": func(r trace.Record) {
 			if r.Conditional() {
@@ -73,13 +69,6 @@ func drivers(p predictor.Predictor) map[string]func(trace.Record) {
 			if comp != nil && r.Conditional() {
 				comp.SpecPush(r.PC, r.Target, r.Taken)
 			}
-		},
-		"Advance": func(r trace.Record) {
-			if comp == nil {
-				return
-			}
-			ev[0] = predictor.Advance{PC: r.PC, Target: r.Target, Taken: r.Taken, Conditional: r.Conditional()}
-			adv.Advance(cs, ev)
 		},
 	}
 }

@@ -30,6 +30,15 @@ import "time"
 // is about 200 bytes per shard.
 const MaxRequestBytes = 1 << 20
 
+// ConnTimeout bounds how long the service's HTTP servers (imlid's API
+// and the coordinator's work queue) wait on a connection between
+// requests: for a request's headers to arrive, and for the next request
+// on a kept-alive connection. A client that trickles its headers is cut
+// off instead of holding a connection and a goroutine forever. Bodies
+// are not bounded in time: an event stream (GET /v1/jobs/{id}/events)
+// lasts as long as its job.
+const ConnTimeout = 30 * time.Second
+
 // JobType selects what a job simulates.
 type JobType string
 

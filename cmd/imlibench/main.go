@@ -40,7 +40,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	exp := fs.String("exp", "all", "experiment ID to run (see -list), or 'all'")
 	branches := fs.Int("branches", 250000, "branch records generated per trace")
 	eng := cliflags.Register(fs)
-	cliflags.RegisterInterleave(fs, eng)
 	seeds := cliflags.RegisterSeeds(fs)
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	quiet := fs.Bool("q", false, "suppress per-suite progress lines")
@@ -58,9 +57,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	if err := cliflags.Positive("interleave", eng.Interleave); err != nil {
-		return err
-	}
 	params := eng.Params(*branches)
 	seedList, err := cliflags.SeedList(*seeds)
 	if err != nil {

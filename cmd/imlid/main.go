@@ -100,7 +100,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
-	if err := dflags.Validate(eng.Interleave); err != nil {
+	if err := dflags.Validate(); err != nil {
 		return err
 	}
 	if *once && (dflags.Coordinator || dflags.WorkerURL != "") {
@@ -169,7 +169,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 
 	srv := newServer()
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -204,6 +204,13 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "imlid: drained")
 		return nil
 	}
+}
+
+// newHTTPServer serves h with the waits between requests bounded by
+// client.ConnTimeout. Read and write timeouts stay zero: they would cut
+// off event streams, which last as long as their jobs.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: client.ConnTimeout, IdleTimeout: client.ConnTimeout}
 }
 
 // runWorker runs the daemon as a worker-fleet member: lease loops
@@ -258,7 +265,7 @@ func runOnce(stdout io.Writer, srv *serve.Server, engCfg sim.EngineConfig) error
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -302,5 +303,17 @@ func TestRunBadFlag(t *testing.T) {
 func TestRunHelp(t *testing.T) {
 	if err := run([]string{"-h"}, io.Discard, io.Discard); err != nil {
 		t.Errorf("-h should exit clean, got %v", err)
+	}
+}
+
+// TestHTTPServerTimeouts: imlid's API servers bound the wait for
+// request headers, so a client trickling headers cannot hold a
+// connection forever, and leave WriteTimeout unset so event streams
+// run as long as their jobs.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 || s.IdleTimeout <= 0 || s.WriteTimeout != 0 {
+		t.Errorf("ReadHeaderTimeout=%s IdleTimeout=%s WriteTimeout=%s; want the first two set, WriteTimeout zero",
+			s.ReadHeaderTimeout, s.IdleTimeout, s.WriteTimeout)
 	}
 }

@@ -130,7 +130,6 @@ type engineOptions struct {
 	streamMem  int64
 	snapshots  bool
 	exact      bool
-	interleave int
 	workers    int
 	workersSet bool
 	seeds      []int64
@@ -175,26 +174,13 @@ func WithSnapshots(on bool) Option { return func(o *engineOptions) { o.snapshots
 // WithSnapshots.
 func WithExactSharding(on bool) Option { return func(o *engineOptions) { o.exact = on } }
 
-// WithInterleave makes each engine worker advance n independent work
-// items in lockstep through the staged predict/train pipeline
-// (DESIGN.md §13): all n streams' index math, then all n streams'
-// table loads, then all n combines, so the streams' table-load misses
-// overlap instead of serializing behind one another. Results are
-// bit-identical to serial execution for any n; 0 or 1 selects the
-// serial driver. Most effective when per-stream table footprints
-// exceed cache — on cache-resident workloads the serial driver is
-// usually at least as fast.
-func WithInterleave(n int) Option { return func(o *engineOptions) { o.interleave = n } }
-
 // WithWorkers distributes the run over n in-process workers pulling
 // work items from a loopback coordinator queue (DESIGN.md §14) — the
 // one-machine form of the multi-node imlid deployment (imlid
 // -coordinator plus cmd/imliworker fleets). Results are bit-identical
 // to in-process execution: work items are values, simulation is
 // deterministic, and remote results merge through the same
-// content-addressed store keys. n must be at least 1; incompatible
-// with WithInterleave (the lockstep pipeline is an in-process
-// arrangement).
+// content-addressed store keys. n must be at least 1.
 func WithWorkers(n int) Option {
 	return func(o *engineOptions) { o.workers, o.workersSet = n, true }
 }
@@ -222,9 +208,6 @@ func applyOptions(opts []Option) (engineOptions, error) {
 	if o.workersSet && o.workers < 1 {
 		return o, fmt.Errorf("imli: WithWorkers needs at least one worker, got %d", o.workers)
 	}
-	if o.workers > 0 && o.interleave > 1 {
-		return o, fmt.Errorf("imli: WithWorkers and WithInterleave are exclusive: the lockstep pipeline is an in-process arrangement")
-	}
 	return o, nil
 }
 
@@ -233,7 +216,7 @@ func applyOptions(opts []Option) (engineOptions, error) {
 func (o engineOptions) engineConfig() sim.EngineConfig {
 	return sim.EngineConfig{
 		Workers: o.parallel, Shards: o.shards, CacheDir: o.cacheDir, StreamMemory: o.streamMem,
-		Snapshots: o.snapshots, ExactShards: o.exact, Interleave: o.interleave,
+		Snapshots: o.snapshots, ExactShards: o.exact,
 	}
 }
 
@@ -382,7 +365,6 @@ func RunExperiment(id string, budget int, opts ...Option) (ExperimentReport, err
 		StreamMemory: o.streamMem,
 		Snapshots:    o.snapshots,
 		ExactShards:  o.exact,
-		Interleave:   o.interleave,
 		Workers:      o.workers,
 		Seeds:        o.seeds,
 		Progress:     o.progress,

@@ -30,11 +30,6 @@ type Engine struct {
 	// Snapshots is -snapshots; ExactShards is -exact-shards.
 	Snapshots   bool
 	ExactShards bool
-	// Interleave is -interleave: co-resident work items per worker
-	// advanced in lockstep through the staged hot path. Registered by
-	// RegisterInterleave; stays 1 (serial) for tools that do not take
-	// it.
-	Interleave int
 }
 
 // Register adds the shared engine flags to fs with the canonical
@@ -54,17 +49,7 @@ func Register(fs *flag.FlagSet) *Engine {
 		"persist predictor-state snapshots and resume longer-budget runs from cached prefixes (needs -cache-dir; DESIGN.md §8)")
 	fs.BoolVar(&e.ExactShards, "exact-shards", false,
 		"chain shard boundary snapshots so sharded results are bit-identical to unsharded runs (implies -snapshots)")
-	e.Interleave = 1
 	return e
-}
-
-// RegisterInterleave adds the shared -interleave flag. Opt-in like
-// RegisterSeeds: only the suite-running tools take it (imlisim,
-// imlibench); single-stream paths (imlisim -trace) reject it, and
-// imlid jobs carry their own parameters.
-func RegisterInterleave(fs *flag.FlagSet, e *Engine) {
-	fs.IntVar(&e.Interleave, "interleave", 1,
-		"simulations each worker advances in lockstep through the staged hot path so their table-load misses overlap; results stay bit-identical (DESIGN.md §13)")
 }
 
 // RegisterSeeds adds the shared -seeds flag with the canonical wording.
@@ -115,7 +100,6 @@ func (e *Engine) Config() sim.EngineConfig {
 		StreamMemory: sim.StreamMemoryFromMiB(e.StreamMemMiB),
 		Snapshots:    e.Snapshots,
 		ExactShards:  e.ExactShards,
-		Interleave:   e.Interleave,
 	}
 }
 
@@ -130,6 +114,5 @@ func (e *Engine) Params(budget int) experiments.Params {
 		StreamMemory: sim.StreamMemoryFromMiB(e.StreamMemMiB),
 		Snapshots:    e.Snapshots,
 		ExactShards:  e.ExactShards,
-		Interleave:   e.Interleave,
 	}
 }

@@ -7,25 +7,24 @@ import (
 	"time"
 )
 
-func parseDist(t *testing.T, args ...string) (*Dist, *Engine, int) {
+func parseDist(t *testing.T, args ...string) (*Dist, int) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	e := Register(fs)
-	RegisterInterleave(fs, e)
+	Register(fs)
 	d := RegisterDist(fs)
 	workers := RegisterWorkers(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return d, e, *workers
+	return d, *workers
 }
 
 func TestDistDefaultsValidate(t *testing.T) {
-	d, e, workers := parseDist(t)
-	if err := d.Validate(e.Interleave); err != nil {
+	d, workers := parseDist(t)
+	if err := d.Validate(); err != nil {
 		t.Errorf("default flags rejected: %v", err)
 	}
-	if err := ValidateWorkers(workers, e.Interleave); err != nil {
+	if err := ValidateWorkers(workers); err != nil {
 		t.Errorf("default -workers rejected: %v", err)
 	}
 	if d.LeaseTTL != 30*time.Second {
@@ -34,34 +33,16 @@ func TestDistDefaultsValidate(t *testing.T) {
 }
 
 func TestCoordinatorAndWorkerAreExclusive(t *testing.T) {
-	d, e, _ := parseDist(t, "-coordinator", "-worker", "http://host:1")
-	err := d.Validate(e.Interleave)
+	d, _ := parseDist(t, "-coordinator", "-worker", "http://host:1")
+	err := d.Validate()
 	if err == nil || !strings.Contains(err.Error(), "exclusive") {
 		t.Errorf("Validate = %v, want exclusivity error", err)
 	}
 }
 
-func TestRemoteModesRejectInterleave(t *testing.T) {
-	for _, args := range [][]string{
-		{"-coordinator", "-interleave", "4"},
-		{"-worker", "http://host:1", "-interleave", "4"},
-	} {
-		d, e, _ := parseDist(t, args...)
-		err := d.Validate(e.Interleave)
-		if err == nil || !strings.Contains(err.Error(), "-interleave") {
-			t.Errorf("%v: Validate = %v, want -interleave conflict", args, err)
-		}
-	}
-	// -interleave with neither remote role stays valid.
-	d, e, _ := parseDist(t, "-interleave", "4")
-	if err := d.Validate(e.Interleave); err != nil {
-		t.Errorf("plain -interleave rejected: %v", err)
-	}
-}
-
 func TestLeaseTTLMustBePositive(t *testing.T) {
-	d, e, _ := parseDist(t, "-coordinator", "-lease-ttl", "-1s")
-	err := d.Validate(e.Interleave)
+	d, _ := parseDist(t, "-coordinator", "-lease-ttl", "-1s")
+	err := d.Validate()
 	if err == nil || !strings.Contains(err.Error(), "lease-ttl") {
 		t.Errorf("Validate = %v, want -lease-ttl error", err)
 	}
@@ -93,17 +74,14 @@ func TestParseWorkerURL(t *testing.T) {
 }
 
 func TestValidateWorkers(t *testing.T) {
-	if err := ValidateWorkers(-1, 1); err == nil {
+	if err := ValidateWorkers(-1); err == nil {
 		t.Error("negative -workers accepted")
 	}
-	if err := ValidateWorkers(3, 4); err == nil || !strings.Contains(err.Error(), "exclusive") {
-		t.Errorf("ValidateWorkers(3, 4) = %v, want interleave conflict", err)
+	if err := ValidateWorkers(3); err != nil {
+		t.Errorf("ValidateWorkers(3) = %v", err)
 	}
-	if err := ValidateWorkers(3, 1); err != nil {
-		t.Errorf("ValidateWorkers(3, 1) = %v", err)
-	}
-	if err := ValidateWorkers(0, 8); err != nil {
-		t.Errorf("ValidateWorkers(0, 8) = %v", err)
+	if err := ValidateWorkers(0); err != nil {
+		t.Errorf("ValidateWorkers(0) = %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/client"
+	"repro/internal/sim"
 )
 
 // TestWorkEndpointsRejectOversizedBodies: a lease request or a
@@ -37,5 +38,20 @@ func TestWorkEndpointsRejectOversizedBodies(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge || env["error"] == "" {
 			t.Errorf("%s oversized = %d %v, want 413 with an error message", path, resp.StatusCode, env)
 		}
+	}
+}
+
+// TestLocalServerTimeouts: the cluster's coordinator server bounds the
+// wait for request headers, so a client trickling headers cannot hold a
+// connection forever, and leaves WriteTimeout unset.
+func TestLocalServerTimeouts(t *testing.T) {
+	cl, err := StartLocal(1, CoordinatorConfig{}, func(int) *sim.Engine { return sim.NewEngine(sim.EngineConfig{}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if cl.srv.ReadHeaderTimeout <= 0 || cl.srv.IdleTimeout <= 0 || cl.srv.WriteTimeout != 0 {
+		t.Errorf("ReadHeaderTimeout=%s IdleTimeout=%s WriteTimeout=%s; want the first two set, WriteTimeout zero",
+			cl.srv.ReadHeaderTimeout, cl.srv.IdleTimeout, cl.srv.WriteTimeout)
 	}
 }

@@ -47,7 +47,11 @@ func StartLocal(n int, cfg CoordinatorConfig, newEngine func(i int) *sim.Engine)
 	cl := &Cluster{
 		Coordinator: coord,
 		URL:         "http://" + ln.Addr().String(),
-		srv:         &http.Server{Handler: mux},
+		srv: &http.Server{
+			Handler:           mux,
+			ReadHeaderTimeout: client.ConnTimeout,
+			IdleTimeout:       client.ConnTimeout,
+		},
 	}
 	go func() { _ = cl.srv.Serve(ln) }()
 

@@ -142,17 +142,6 @@ func (b *FoldedBank) Push(g *Global) {
 	}
 }
 
-// PushBanks advances several independent (bank, history) pairs, one
-// Push each — the batched form the interleaved simulation driver uses
-// so the per-stream folded-register walks sit adjacent in the
-// instruction stream. Purely structural: bit-identical to calling
-// banks[k].Push(gs[k]) in a loop yourself.
-func PushBanks(banks []*FoldedBank, gs []*Global) {
-	for k, b := range banks {
-		b.Push(gs[k])
-	}
-}
-
 // Reset recomputes register r from scratch out of the global history.
 func (b *FoldedBank) Reset(r FoldedRef, g *Global) {
 	b.value[r] = Fold(g, int(b.histLen[r]), int(b.width[r]))

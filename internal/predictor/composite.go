@@ -222,9 +222,7 @@ func NewCustom(name string, opts Options) *Composite {
 func (c *Composite) Name() string { return c.opts.name }
 
 // Predict implements Predictor. It is the composition of the three
-// pipeline stages (see staged.go); an interleaved driver calls the
-// stages directly across several independent composites so their
-// table-load misses overlap.
+// pipeline stages (see staged.go).
 func (c *Composite) Predict(pc uint64) bool {
 	c.PredictStage1(pc)
 	c.PredictStage2()

@@ -1,27 +1,23 @@
 package predictor
 
-import "repro/internal/hist"
-
 // Staged predict/train pipeline.
 //
 // The composite hot path is decomposed into three explicit stages —
 // stage 1 computes every bank index and tag from the history+PC hash,
 // stage 2 issues every table load, stage 3 combines the votes into the
-// final prediction — so that an interleaved driver can advance N
-// independent simulations in lockstep: all N streams' stage-1 index
-// math, then all N streams' loads, then all N combines. The cache
-// misses of different streams then overlap instead of serializing
-// behind one another.
+// final prediction. Predict is their composition and Train is
+// TrainTables followed by SpecPush; the speculative pipeline model
+// (internal/sim/spec.go) drives the two train halves separately, and
+// the per-layer benchmark probes time each stage on its own.
 //
-// Per stream the decomposition is bit-identical to the monolithic path
-// (kept verbatim in reference.go): the stages only reorder pure reads,
-// and no predictor state mutates between the stages of one branch.
-// Train reuses the indices recorded at stage 1, which is exact because
-// every driver calls Predict immediately before TrainTables, and
-// within TrainTables the table training runs before any history
-// mutation (outer-history, local-history and IMLI pushes all come
-// later). Streams share no mutable state, so interleaving them
-// preserves each stream's bit-exact trajectory.
+// The decomposition is bit-identical to the monolithic path (kept
+// verbatim in reference.go and pinned by TestStagedMatchesReference):
+// the stages only reorder pure reads, and no predictor state mutates
+// between the stages of one branch. Train reuses the indices recorded
+// at stage 1, which is exact because every driver calls Predict
+// immediately before TrainTables, and within TrainTables the table
+// training runs before any history mutation (outer-history,
+// local-history and IMLI pushes all come later).
 
 // PredictStage1 is predict stage 1: compute every bank index and tag
 // for pc across the base predictor and corrector components.
@@ -74,53 +70,4 @@ func (c *Composite) PredictStage3() bool {
 	}
 	c.lastFinal = pred
 	return pred
-}
-
-// Advance is one stream's resolved control-flow event for
-// Advancer.Advance: the history-side update that follows table
-// training.
-type Advance struct {
-	PC, Target uint64
-	Taken      bool
-	// Conditional selects between the SpecPush path (conditional
-	// branches: IMLI observe + outcome push) and the TrackOther path
-	// (other control flow: target-bit push).
-	Conditional bool
-}
-
-// Advancer batches the history-side update of N independent streams:
-// first every stream's scalar history pushes, then every stream's
-// folded-register bank walk (the widest load/store loop of the update
-// path) back to back via hist.PushBanks so their misses overlap. It
-// owns reusable scratch, so steady-state advances allocate nothing;
-// use one Advancer per driver goroutine (it is not goroutine-safe).
-type Advancer struct {
-	banks []*hist.FoldedBank
-	gs    []*hist.Global
-}
-
-// Advance applies one resolved event per stream. A nil composite skips
-// its slot. Bit-identical per stream to calling SpecPush (conditional)
-// or TrackOther (other) yourself.
-func (a *Advancer) Advance(cs []*Composite, adv []Advance) {
-	a.banks = a.banks[:0]
-	a.gs = a.gs[:0]
-	for k, c := range cs {
-		if c == nil {
-			continue
-		}
-		ev := adv[k]
-		if ev.Conditional {
-			if c.imli != nil {
-				c.imli.Observe(ev.PC, ev.Target, ev.Taken)
-			}
-			c.g.Push(ev.Taken)
-		} else {
-			c.g.Push((ev.Target>>2)&1 == 1)
-		}
-		c.path.Push(ev.PC)
-		a.banks = append(a.banks, c.bank)
-		a.gs = append(a.gs, c.g)
-	}
-	hist.PushBanks(a.banks, a.gs)
 }

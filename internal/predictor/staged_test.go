@@ -20,12 +20,12 @@ func snapshotBytes(t *testing.T, c *Composite) []byte {
 
 // TestStagedMatchesReference is the property test gating the staged
 // pipeline (same harness shape as hist's FoldedBank-vs-reference
-// test): for every composite registry config, three instances driven
-// over the same random stream — one through the staged
-// Predict/Train, one through the monolithic Reference path, one
-// through the explicit stage calls plus the batched Advancer — must
-// agree on every prediction and end in byte-identical snapshots, with
-// speculative checkpoint/restore excursions mixed in.
+// test): for every composite registry config, two instances driven
+// over the same random stream — one through the staged Predict/Train,
+// which are literally the stage calls plus TrainTables and SpecPush,
+// one through the monolithic Reference path — must agree on every
+// prediction and end in byte-identical snapshots, with speculative
+// checkpoint/restore excursions mixed in.
 func TestStagedMatchesReference(t *testing.T) {
 	for _, name := range Names() {
 		p, err := New(name)
@@ -38,10 +38,6 @@ func TestStagedMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			staged := MustNew(name).(*Composite)
 			ref := MustNew(name).(*Composite)
-			manual := MustNew(name).(*Composite)
-			var adv Advancer
-			cs := []*Composite{manual}
-			ev := make([]Advance, 1)
 			rng := num.NewRand(0xbead + uint64(len(name)))
 			pcs := make([]uint64, 24)
 			for i := range pcs {
@@ -59,29 +55,21 @@ func TestStagedMatchesReference(t *testing.T) {
 					// Non-conditional control flow.
 					staged.TrackOther(pc, target, trace.UncondDirect, true)
 					ref.TrackOther(pc, target, trace.UncondDirect, true)
-					ev[0] = Advance{PC: pc, Target: target, Taken: true}
-					adv.Advance(cs, ev)
 					continue
 				}
 				ps := staged.Predict(pc)
 				pr := ref.PredictReference(pc)
-				manual.PredictStage1(pc)
-				manual.PredictStage2()
-				pm := manual.PredictStage3()
-				if ps != pr || ps != pm {
-					t.Fatalf("record %d (pc %#x): staged=%v reference=%v manual=%v", i, pc, ps, pr, pm)
+				if ps != pr {
+					t.Fatalf("record %d (pc %#x): staged=%v reference=%v", i, pc, ps, pr)
 				}
 				staged.Train(pc, target, taken)
 				ref.TrainReference(pc, target, taken)
-				manual.TrainTables(pc, target, taken)
-				ev[0] = Advance{PC: pc, Target: target, Taken: taken, Conditional: true}
-				adv.Advance(cs, ev)
 
 				if i%700 == 699 {
 					// Speculative excursion: checkpoint, run a few
 					// wrong-path branches with speculative outcomes,
-					// restore — identically on all three instances.
-					ckS, ckR, ckM := staged.SpecCheckpoint(), ref.SpecCheckpoint(), manual.SpecCheckpoint()
+					// restore — identically on both instances.
+					ckS, ckR := staged.SpecCheckpoint(), ref.SpecCheckpoint()
 					for j := 0; j < 5; j++ {
 						wpc := pcs[rng.Intn(len(pcs))]
 						spec := rng.Bool()
@@ -89,44 +77,15 @@ func TestStagedMatchesReference(t *testing.T) {
 						staged.SpecPush(wpc, wpc+32, spec)
 						ref.PredictReference(wpc)
 						ref.SpecPush(wpc, wpc+32, spec)
-						manual.PredictStage1(wpc)
-						manual.PredictStage2()
-						manual.PredictStage3()
-						ev[0] = Advance{PC: wpc, Target: wpc + 32, Taken: spec, Conditional: true}
-						adv.Advance(cs, ev)
 					}
 					staged.SpecRestore(ckS)
 					ref.SpecRestore(ckR)
-					manual.SpecRestore(ckM)
 				}
 			}
-			bs, br, bm := snapshotBytes(t, staged), snapshotBytes(t, ref), snapshotBytes(t, manual)
+			bs, br := snapshotBytes(t, staged), snapshotBytes(t, ref)
 			if !bytes.Equal(bs, br) {
 				t.Errorf("staged snapshot differs from reference (%d vs %d bytes)", len(bs), len(br))
 			}
-			if !bytes.Equal(bm, br) {
-				t.Errorf("manual-stage snapshot differs from reference (%d vs %d bytes)", len(bm), len(br))
-			}
 		})
-	}
-}
-
-// TestAdvancerSkipsNil checks the interleaved driver's nil-slot
-// convention: finished streams leave nil composites that must not be
-// touched, while live slots still advance.
-func TestAdvancerSkipsNil(t *testing.T) {
-	a := MustNew("tage-gsc+imli").(*Composite)
-	b := MustNew("tage-gsc+imli").(*Composite)
-	var adv Advancer
-	ck := b.SpecCheckpoint()
-	a.Predict(0x1000)
-	a.TrainTables(0x1000, 0x1040, true)
-	adv.Advance([]*Composite{a, nil, b}, []Advance{
-		{PC: 0x1000, Target: 0x1040, Taken: true, Conditional: true},
-		{},
-		{PC: 0x2000, Target: 0x1f00, Taken: true, Conditional: true},
-	})
-	if b.SpecCheckpoint() == ck {
-		t.Error("live slot after a nil slot did not advance")
 	}
 }

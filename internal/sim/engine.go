@@ -67,17 +67,6 @@ type EngineConfig struct {
 	// so re-runs and budget extensions stay incremental. Implies
 	// Snapshots.
 	ExactShards bool
-	// Interleave, when > 1, makes each worker advance up to this many
-	// work items in lockstep through the staged predict/train pipeline
-	// (DESIGN.md §13): stage-1 index math for all co-resident streams,
-	// then all their table loads, then all their combines, so cache
-	// misses from different streams overlap instead of serializing.
-	// Bit-identical per stream — results and store entries are
-	// unchanged. Applies to the plain sharding path; ExactShards runs
-	// chain shards serially and ignore it. Streams fall back to the
-	// serial driver when the predictor is not a composite or the stream
-	// is not materialized.
-	Interleave int
 	// Store, when non-nil, caches per-shard results (and snapshots) on
 	// disk so repeated runs are incremental.
 	Store *Store
@@ -102,9 +91,7 @@ type EngineConfig struct {
 	// predictor builders) still run locally. A RunItem call blocks its
 	// engine worker slot while the remote executes, so Workers should
 	// be sized to the wanted dispatch concurrency, not to local CPUs;
-	// <=0 defaults to 8×GOMAXPROCS when Remote is set. Interleave is
-	// forced to 1: lockstep grouping is an in-process hot-path
-	// arrangement, meaningless across a wire.
+	// <=0 defaults to 8×GOMAXPROCS when Remote is set.
 	Remote RemoteRunner
 }
 
@@ -130,14 +117,13 @@ type EngineStats struct {
 // except when a cached snapshot supplies the exact state of a stream
 // prefix (Snapshots / ExactShards).
 type Engine struct {
-	workers    int
-	shards     int
-	warmup     int
-	snapshots  bool
-	exact      bool
-	interleave int
-	store      *Store
-	streams    *workload.StreamCache
+	workers   int
+	shards    int
+	warmup    int
+	snapshots bool
+	exact     bool
+	store     *Store
+	streams   *workload.StreamCache
 	// sem is the engine-wide worker bound: every work item, from every
 	// concurrent RunSuite call sharing this engine, holds one slot
 	// while it simulates. Long-running services (internal/serve) rely
@@ -188,14 +174,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 		}
 		cfg.Streams = workload.NewStreamCache(cfg.StreamMemory, spill)
 	}
-	if cfg.Interleave < 1 || cfg.Remote != nil {
-		cfg.Interleave = 1
-	}
 	return &Engine{
 		workers: cfg.Workers, shards: cfg.Shards, warmup: cfg.Warmup,
 		snapshots: cfg.Snapshots || cfg.ExactShards, exact: cfg.ExactShards,
-		interleave: cfg.Interleave,
-		store:      cfg.Store, streams: cfg.Streams,
+		store: cfg.Store, streams: cfg.Streams,
 		remote: cfg.Remote,
 		sem:    make(chan struct{}, cfg.Workers),
 	}
@@ -214,10 +196,6 @@ func StreamMemoryFromMiB(mib int) int64 {
 
 // Shards returns the per-benchmark shard count.
 func (e *Engine) Shards() int { return e.shards }
-
-// Interleave returns the per-worker co-resident stream count (1 =
-// serial).
-func (e *Engine) Interleave() int { return e.interleave }
 
 // Streams returns the engine's materialized-stream cache, or nil when
 // materialization is disabled.
@@ -368,44 +346,15 @@ func (e *Engine) RunSuiteContext(ctx context.Context, builder func() predictor.P
 				items = append(items, item{bi, si})
 			}
 		}
-		if e.interleave > 1 {
-			// Interleaved mode: each worker advances a group of up to
-			// `interleave` work items in lockstep so their table-load
-			// misses overlap (see interleave.go). Per-item results,
-			// store entries and snapshots are bit-identical to the
-			// serial path.
-			step := e.interleave
-			groups := (len(items) + step - 1) / step
-			e.forEach(ctx, groups, func(gi int) {
-				lo := gi * step
-				hi := lo + step
-				if hi > len(items) {
-					hi = len(items)
-				}
-				work := make([]groupItem, hi-lo)
-				for k, it := range items[lo:hi] {
-					work[k] = groupItem{bench: benches[it.bench], shard: it.shard}
-				}
-				e.runShardGroup(builder, name, suite, budget, work)
-				for k, it := range items[lo:hi] {
-					if work[k].hit {
-						cached.Add(1)
-					}
-					shardRes[it.bench][it.shard] = work[k].res
-					emit(benches[it.bench].Name, it.shard, work[k].hit)
-				}
-			})
-		} else {
-			e.forEach(ctx, len(items), func(i int) {
-				it := items[i]
-				res, hit := e.runShard(ctx, builder, name, suite, benches[it.bench], budget, it.shard)
-				if hit {
-					cached.Add(1)
-				}
-				shardRes[it.bench][it.shard] = res
-				emit(benches[it.bench].Name, it.shard, hit)
-			})
-		}
+		e.forEach(ctx, len(items), func(i int) {
+			it := items[i]
+			res, hit := e.runShard(ctx, builder, name, suite, benches[it.bench], budget, it.shard)
+			if hit {
+				cached.Add(1)
+			}
+			shardRes[it.bench][it.shard] = res
+			emit(benches[it.bench].Name, it.shard, hit)
+		})
 	}
 
 	for i := range benches {
@@ -532,7 +481,7 @@ func (e *Engine) runShardGeom(builder func() predictor.Predictor, config, suite 
 	var partial Result
 	canSnapshot := e.snapshots && shards == 1 && e.store != nil
 	if canSnapshot {
-		if rp, part, pos := e.tryResume(builder, config, suite, b, budget); rp != nil {
+		if rp, part, pos := e.resume(builder, config, suite, b, budget); rp != nil {
 			// The snapshot carries both the exact predictor state at
 			// pos and the counters measured over [0, pos); measurement
 			// continues at pos.
@@ -677,7 +626,11 @@ func (e *Engine) runBenchExactGeom(ctx context.Context, builder func() predictor
 			end = noLimit
 		}
 		if p == nil || pos > start {
-			p, pos = e.restoreAtOrBefore(builder, config, suite, b, start)
+			// Restore the nearest boundary state at or before start, or
+			// replay from record 0 when none is cached.
+			if p, _, pos = e.resume(builder, config, suite, b, start); p == nil {
+				p = builder()
+			}
 		}
 		// feedWindow replays [pos, start) as training — the exact
 		// records of the contiguous run, not an approximation — then
@@ -702,16 +655,22 @@ func (e *Engine) runBenchExactGeom(ctx context.Context, builder func() predictor
 	return results, cached
 }
 
-// tryResume restores the longest cached prefix snapshot usable for a
-// budget-`budget` run into a fresh predictor. Returns (nil, _, 0) when
-// no snapshot applies (or the predictor is not a Snapshotter).
-func (e *Engine) tryResume(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget int) (predictor.Predictor, Result, int) {
+// resume restores the state at the largest cached snapshot position in
+// (0, limit] into a fresh predictor, returning it with the counters
+// measured over [0, pos) and pos. A payload that fails to decode is a
+// miss: the scan falls back to the next shorter prefix. Returns
+// (nil, _, 0) when no snapshot applies (none cached, no store, or the
+// predictor is not a Snapshotter).
+func (e *Engine) resume(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, limit int) (predictor.Predictor, Result, int) {
+	if e.store == nil {
+		return nil, Result{}, 0
+	}
 	group := SnapKey{Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name, Seed: b.Seed}
 	for _, pos := range e.store.SnapshotPositions(group) {
-		// A snapshot past this run's budget would overshoot the
-		// measurement window (a shorter-budget run cannot un-simulate);
-		// positions are sorted descending, so keep scanning.
-		if pos > budget || pos <= 0 {
+		// A snapshot past the limit would overshoot the measurement
+		// window (a shorter run cannot un-simulate); positions are
+		// sorted descending, so keep scanning.
+		if pos > limit || pos <= 0 {
 			continue
 		}
 		k := group
@@ -727,45 +686,13 @@ func (e *Engine) tryResume(builder func() predictor.Predictor, config, suite str
 		}
 		partial, err := decodeSimState(payload, sp)
 		if err != nil {
-			// Corrupt or structurally mismatched snapshot: treat as a
-			// miss and try the next shorter prefix.
+			// Corrupt or structurally mismatched snapshot.
 			continue
 		}
 		e.resumed.Add(1)
 		return p, partial, pos
 	}
 	return nil, Result{}, 0
-}
-
-// restoreAtOrBefore returns a predictor holding the exact stream state
-// at the largest snapshotted position ≤ limit, or a fresh predictor at
-// position 0 when none is cached.
-func (e *Engine) restoreAtOrBefore(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, limit int) (predictor.Predictor, int) {
-	if e.store != nil {
-		group := SnapKey{Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name, Seed: b.Seed}
-		for _, pos := range e.store.SnapshotPositions(group) {
-			if pos > limit || pos <= 0 {
-				continue
-			}
-			k := group
-			k.Pos = pos
-			payload, ok := e.store.LoadSnapshot(k)
-			if !ok {
-				continue
-			}
-			p := builder()
-			sp, ok := p.(snap.Snapshotter)
-			if !ok {
-				break
-			}
-			if _, err := decodeSimState(payload, sp); err != nil {
-				continue
-			}
-			e.resumed.Add(1)
-			return p, pos
-		}
-	}
-	return builder(), 0
 }
 
 // saveSnapshot persists the predictor's state at stream position pos

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"os"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -165,4 +167,83 @@ func TestExactShardsCachedAndChained(t *testing.T) {
 				got.Results[i].Trace, got.Results[i], cold.Results[i])
 		}
 	}
+}
+
+// TestResumeSkipsUndecodableSnapshot: a snapshot whose file framing is
+// valid but whose payload does not decode is a miss, and resume falls
+// back to the next shorter cached prefix — for a budget extension under
+// Snapshots and for an ExactShards chain restoring a later shard. The
+// fallback still counts as a resume, and results stay those of a cold
+// run.
+func TestResumeSkipsUndecodableSnapshot(t *testing.T) {
+	const config = "gshare"
+	b := workload.CBP4()[0]
+	benches := []workload.Benchmark{b}
+	group := SnapKey{Engine: EngineVersion, Config: config, Suite: "cbp4", Trace: b.Name, Seed: b.Seed}
+	poison := func(t *testing.T, st *Store, pos int) {
+		t.Helper()
+		k := group
+		k.Pos = pos
+		if err := st.SaveSnapshot(k, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streamLen := func(budget int) int {
+		n := 0
+		b.Generate(budget, func(trace.Record) { n++ })
+		return n
+	}
+	check := func(t *testing.T, e *Engine, got SuiteRun, budget, fallback int) {
+		t.Helper()
+		st := e.Stats()
+		if st.Resumed != 1 {
+			t.Errorf("resumed %d runs, want 1", st.Resumed)
+		}
+		if want := uint64(streamLen(budget) - fallback); st.RecordsSimulated != want {
+			t.Errorf("fed %d records, want %d (resume from position %d)", st.RecordsSimulated, want, fallback)
+		}
+		cold := NewEngine(EngineConfig{}).RunSuite(builderFor(config), config, "cbp4", benches, budget)
+		if got.Results[0] != cold.Results[0] {
+			t.Errorf("%+v != cold %+v", got.Results[0], cold.Results[0])
+		}
+	}
+
+	t.Run("snapshots", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := EngineConfig{Snapshots: true, CacheDir: dir}
+		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 6000)
+		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 12000)
+		st := OpenStore(dir)
+		pos := st.SnapshotPositions(group)
+		if len(pos) != 2 {
+			t.Fatalf("snapshot positions %v, want two prefixes", pos)
+		}
+		poison(t, st, pos[0])
+
+		e := NewEngine(cfg)
+		got := e.RunSuite(builderFor(config), config, "cbp4", benches, 20000)
+		check(t, e, got, 20000, pos[1])
+	})
+
+	t.Run("exact-shards", func(t *testing.T) {
+		dir := t.TempDir()
+		const budget, shards = 12000, 3
+		cfg := EngineConfig{Shards: shards, ExactShards: true, CacheDir: dir}
+		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, budget)
+		st := OpenStore(dir)
+		// Drop the last shard's result and poison the boundary state it
+		// would restore from: the chain must replay from the boundary
+		// before it.
+		if err := os.Remove(st.path(exactKey(config, "cbp4", b, budget, shards-1, shards))); err != nil {
+			t.Fatal(err)
+		}
+		poison(t, st, workload.ShardStart(budget, shards-1, shards))
+
+		e := NewEngine(cfg)
+		got := e.RunSuite(builderFor(config), config, "cbp4", benches, budget)
+		if got.CachedShards != shards-1 {
+			t.Errorf("cached %d shards, want %d", got.CachedShards, shards-1)
+		}
+		check(t, e, got, budget, workload.ShardStart(budget, shards-2, shards))
+	})
 }

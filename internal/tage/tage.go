@@ -123,8 +123,7 @@ type Predictor struct {
 
 	// staged-predict scratch: LoadStage copies the indexed entries and
 	// the base prediction here so CombineStage runs on registered
-	// values, letting an interleaved driver overlap the loads of
-	// several independent streams.
+	// values.
 	ents          []taggedEntry //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 	stagePC       uint64        //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 	stagePCMix    uint64        //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
@@ -226,9 +225,7 @@ func (p *Predictor) Bank() *hist.FoldedBank { return p.bank }
 // must be passed back to Update once the branch resolves, before the
 // next Predict (the predictor reuses internal index scratch space).
 //
-// It is the composition of the three pipeline stages; an interleaved
-// driver calls the stages directly so the table loads of several
-// independent streams overlap.
+// It is the composition of the three pipeline stages.
 func (p *Predictor) Predict(pc uint64) Prediction {
 	p.IndexStage(pc)
 	p.LoadStage()
