@@ -26,8 +26,8 @@ import "time"
 
 // MaxRequestBytes bounds every JSON request body the service reads
 // (POST /v1/jobs, /v1/work/lease and /v1/work/complete); a larger body
-// is answered 413. The largest real body, an exact chain's completion,
-// is about 200 bytes per shard.
+// is answered 413. Real bodies are a few hundred bytes: the largest, a
+// work completion, carries one result.
 const MaxRequestBytes = 1 << 20
 
 // ConnTimeout bounds how long the service's HTTP servers (imlid's API

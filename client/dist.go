@@ -39,7 +39,7 @@ type WorkItem struct {
 	Shards int `json:"shards"`
 	Warmup int `json:"warmup"`
 	// Exact marks a boundary-snapshot chain covering all Shards shards;
-	// the completion then carries Shards results in shard order.
+	// its completion's one result is merged over the whole chain.
 	Exact bool `json:"exact,omitempty"`
 }
 
@@ -65,7 +65,7 @@ type WorkLease struct {
 	Item WorkItem `json:"item"`
 }
 
-// WorkResult is one simulated shard's counters, mirroring sim.Result.
+// WorkResult is one simulated item's counters, mirroring sim.Result.
 type WorkResult struct {
 	Trace        string `json:"trace"`
 	Predictor    string `json:"predictor"`
@@ -75,8 +75,9 @@ type WorkResult struct {
 	Mispredicted uint64 `json:"mispredicted"`
 }
 
-// WorkCompletion reports a leased item's outcome: Results (one entry,
-// or Shards entries for an exact chain) on success, Error on failure.
+// WorkCompletion reports a leased item's outcome: Results (exactly one
+// entry, merged over the chain for an exact item) on success, Error on
+// failure.
 // Completions are idempotent — the coordinator deduplicates by item,
 // so retries, stragglers finishing after their lease expired, and
 // outright duplicates are all safe to send.
@@ -88,7 +89,7 @@ type WorkCompletion struct {
 	Item  WorkItem `json:"item"`
 	// Worker names the sender (diagnostics only).
 	Worker string `json:"worker,omitempty"`
-	// Results carries the simulated counters in shard order.
+	// Results carries the item's simulated counters as one entry.
 	Results []WorkResult `json:"results,omitempty"`
 	// Error reports a failed item (bad item, simulation panic). The
 	// coordinator re-dispatches a failed item a bounded number of times

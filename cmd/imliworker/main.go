@@ -1,7 +1,7 @@
 // Command imliworker is a fleet member for a distributed imlid
 // coordinator (DESIGN.md §14): it polls the coordinator's worker-pull
 // queue at /v1/work/, leases (config × bench × shard) work items, runs
-// them on a local simulation engine, and posts the per-shard counters
+// them on a local simulation engine, and posts each item's counters
 // back. Simulation is deterministic, so the coordinator's merged
 // results are bit-identical to a single-process run no matter how many
 // workers share the queue.

@@ -290,10 +290,10 @@ func (c *Coordinator) Complete(comp client.WorkCompletion) client.WorkAck {
 		return c.failLocked(it, comp.Error, wasCurrentLease)
 	}
 	results := fromWireResults(comp.Results)
-	if want := wantResults(spec); len(results) != want {
+	if len(results) != 1 {
 		// A malformed success is a failure in disguise; the retry
 		// budget applies.
-		return c.failLocked(it, fmt.Sprintf("completion carried %d results, want %d", len(results), want), wasCurrentLease)
+		return c.failLocked(it, fmt.Sprintf("completion carried %d results, want 1", len(results)), wasCurrentLease)
 	}
 	it.state = stateDone
 	it.lease = ""
@@ -330,14 +330,6 @@ func (c *Coordinator) failLocked(it *workItem, msg string, wasCurrentLease bool)
 		c.requeued++
 	}
 	return client.WorkAck{Accepted: true}
-}
-
-// wantResults is how many results a completion for spec must carry.
-func wantResults(spec sim.ItemSpec) int {
-	if spec.Exact && spec.Shards > 1 {
-		return spec.Shards
-	}
-	return 1
 }
 
 // retainDoneLocked keeps the completed item for duplicate detection,

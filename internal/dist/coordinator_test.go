@@ -205,17 +205,30 @@ func TestErrorCompletionsExhaustBudgetThenFail(t *testing.T) {
 	}
 }
 
+// TestWrongResultCountIsAFailure: every completion carries exactly one
+// result — an exact chain's too, merged over its shards, so one result
+// per shard is malformed.
 func TestWrongResultCountIsAFailure(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{MaxFailures: 1})
 	defer c.Close()
-	spec := specN(1)
-	ch := startItem(c, spec)
-	l := awaitLease(t, c, "w")
-	c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item,
-		Results: append(resultsFor(spec), resultsFor(spec)...)})
-	out := <-ch
-	if out.err == nil || !strings.Contains(out.err.Error(), "want 1") {
-		t.Fatalf("RunItem err = %v, want result-count failure", out.err)
+	for _, tc := range []struct {
+		spec    sim.ItemSpec
+		results int
+	}{
+		{specN(1), 2},
+		{sim.ItemSpec{Config: "gshare", Suite: "cbp4", Bench: "b", Seed: 2, Budget: 1000, Shards: 3, Exact: true}, 3},
+	} {
+		ch := startItem(c, tc.spec)
+		l := awaitLease(t, c, "w")
+		var results []client.WorkResult
+		for i := 0; i < tc.results; i++ {
+			results = append(results, resultsFor(tc.spec)...)
+		}
+		c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Results: results})
+		out := <-ch
+		if out.err == nil || !strings.Contains(out.err.Error(), "want 1") {
+			t.Fatalf("%+v: RunItem err = %v, want result-count failure", tc.spec, out.err)
+		}
 	}
 }
 

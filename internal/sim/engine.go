@@ -21,8 +21,9 @@ import (
 // counters or their addressing, so stale cache entries can never be
 // returned. Version 2: unambiguous (JSON) store-key encoding.
 // Version 3: versioned store layout (v<N>/ directories), predictor
-// snapshots, and the Exact key field.
-const EngineVersion = 3
+// snapshots, and the Exact key field. Version 4: an exact shard chain
+// is one merged result entry at the former shard-0 address.
+const EngineVersion = 4
 
 // DefaultShardWarmup is the functional warm-up length (in branch
 // records) a shard trains on before its measured segment when the
@@ -57,17 +58,17 @@ type EngineConfig struct {
 	// predictor.Snapshotter silently run cold.
 	Snapshots bool
 	// ExactShards switches sharding from functional warm-up to
-	// boundary-snapshot chaining: a benchmark's shards execute as a
-	// chained partition of the contiguous stream, each starting from
-	// the exact predictor state at its boundary, so merged sharded
-	// counters are bit-identical to the unsharded run (no §5
-	// tolerance). A benchmark's shards serialize on one worker
-	// (parallelism comes from benchmarks and configurations), but each
-	// shard's result and each boundary state are cached individually,
-	// so re-runs and budget extensions stay incremental. Implies
-	// Snapshots.
+	// boundary-snapshot chaining: a benchmark's shards execute as one
+	// chained work item on one worker (parallelism comes from
+	// benchmarks and configurations), a checkpointed unsharded run that
+	// saves a boundary snapshot at every shard boundary it crosses, so
+	// merged counters are bit-identical to the unsharded run (no §5
+	// tolerance). A chain resumes from the longest cached snapshot
+	// within its budget — a canceled chain or a budget extension
+	// continues incrementally — and its merged result is one store
+	// entry. Implies Snapshots.
 	ExactShards bool
-	// Store, when non-nil, caches per-shard results (and snapshots) on
+	// Store, when non-nil, caches work-item results (and snapshots) on
 	// disk so repeated runs are incremental.
 	Store *Store
 	// CacheDir opens a Store rooted at the directory when Store is
@@ -95,11 +96,13 @@ type EngineConfig struct {
 	Remote RemoteRunner
 }
 
-// EngineStats counts what an engine did across its lifetime.
+// EngineStats counts what an engine did across its lifetime. Work is
+// counted in shards: an exact chain counts as its Shards shards,
+// whether simulated or served from its one store entry.
 type EngineStats struct {
-	// Simulated is the number of shard work items actually simulated.
+	// Simulated is the number of shards actually simulated.
 	Simulated uint64
-	// CacheHits is the number of shard work items served by the store.
+	// CacheHits is the number of shards served by the store.
 	CacheHits uint64
 	// RecordsSimulated is the total number of branch records fed to
 	// predictors (replay, warm-up and measured) — the engine's total
@@ -110,12 +113,13 @@ type EngineStats struct {
 	Resumed uint64
 }
 
-// Engine executes (configuration × benchmark × shard) work items over
-// a bounded worker pool, merging per-shard results into per-benchmark
-// Results. A fresh predictor instance is built per work item (the CBP
-// methodology: traces — and here shards — are independent runs),
-// except when a cached snapshot supplies the exact state of a stream
-// prefix (Snapshots / ExactShards).
+// Engine executes (configuration × benchmark × shard) work items — one
+// chain item per benchmark under ExactShards — over a bounded worker
+// pool, merging per-shard results into per-benchmark Results. A fresh
+// predictor instance is built per work item (the CBP methodology:
+// traces — and here shards — are independent runs), except when a
+// cached snapshot supplies the exact state of a stream prefix
+// (Snapshots / ExactShards).
 type Engine struct {
 	workers   int
 	shards    int
@@ -209,18 +213,18 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// ItemEvent reports one completed engine work item (one shard of one
-// benchmark) to a RunSuiteContext progress callback.
+// ItemEvent reports one completed shard of one benchmark to a
+// RunSuiteContext progress callback.
 type ItemEvent struct {
 	// Config, Suite and Trace identify the work item's simulation.
 	Config, Suite, Trace string
-	// Shard is the work item's shard index within its benchmark.
+	// Shard is the shard index within its benchmark.
 	Shard int
-	// Done counts work items completed so far in this RunSuiteContext
-	// call; Total is the number the call will execute. Done == Total
-	// on the final event.
+	// Done counts shards completed so far in this RunSuiteContext call;
+	// Total is the number the call will execute. Done == Total on the
+	// final event.
 	Done, Total int
-	// Cached reports that the item was served from the result store
+	// Cached reports that the shard was served from the result store
 	// instead of simulated.
 	Cached bool
 }
@@ -305,63 +309,46 @@ func (e *Engine) RunSuite(builder func() predictor.Predictor, name, suite string
 // When ctx is canceled the run stops scheduling work items and returns
 // the context's error; the partial SuiteRun must be discarded (skipped
 // benchmarks read as zero results), but every item that did complete
-// was stored normally, so a re-run is incremental. onItem, when
-// non-nil, is invoked after each completed work item; calls are
+// was stored normally — and a canceled exact chain left a snapshot at
+// each shard boundary it crossed — so a re-run is incremental. onItem,
+// when non-nil, is invoked once per shard as it completes (an exact
+// chain reports each shard as it crosses that shard's end); calls are
 // serialized and Done is strictly increasing, so callers may forward
 // events without locking.
 func (e *Engine) RunSuiteContext(ctx context.Context, builder func() predictor.Predictor, name, suite string, benches []workload.Benchmark, budget int, onItem func(ItemEvent)) (SuiteRun, error) {
 	run := SuiteRun{Config: name, Suite: suite, Results: make([]Result, len(benches))}
-	shardRes := make([][]Result, len(benches))
-	var cached atomic.Uint64
+	// An exact chain is one work item covering every shard of its
+	// benchmark: shard i needs the predictor state at shard i-1's
+	// boundary, so the pool parallelizes across benchmarks instead.
+	perBench := e.shards
+	if e.exact {
+		perBench = 1
+	}
+	parts := make([]Result, len(benches)*perBench)
 	total := len(benches) * e.shards
 	var progressMu sync.Mutex
-	done := 0
-	emit := func(trace string, shard int, hit bool) {
-		if onItem == nil {
-			return
-		}
-		progressMu.Lock()
-		done++
-		ev := ItemEvent{Config: name, Suite: suite, Trace: trace, Shard: shard,
-			Done: done, Total: total, Cached: hit}
-		onItem(ev)
-		progressMu.Unlock()
-	}
-
-	if e.exact && e.shards > 1 {
-		// Exact mode: a benchmark's shards chain through boundary
-		// snapshots and so execute sequentially on one worker; the
-		// pool parallelizes across benchmarks.
-		e.forEach(ctx, len(benches), func(bi int) {
-			res, hit := e.runBenchExact(ctx, builder, name, suite, benches[bi], budget, emit)
-			shardRes[bi] = res
-			cached.Add(uint64(hit))
-		})
-	} else {
-		type item struct{ bench, shard int }
-		items := make([]item, 0, total)
-		for bi := range benches {
-			shardRes[bi] = make([]Result, e.shards)
-			for si := 0; si < e.shards; si++ {
-				items = append(items, item{bi, si})
-			}
-		}
-		e.forEach(ctx, len(items), func(i int) {
-			it := items[i]
-			res, hit := e.runShard(ctx, builder, name, suite, benches[it.bench], budget, it.shard)
+	done, cached := 0, 0
+	e.forEach(ctx, len(parts), func(i int) {
+		b := benches[i/perBench]
+		parts[i] = e.runShard(ctx, builder, b, e.item(name, suite, b, budget, i%perBench), func(shard int, hit bool) {
+			progressMu.Lock()
+			defer progressMu.Unlock()
+			done++
 			if hit {
-				cached.Add(1)
+				cached++
 			}
-			shardRes[it.bench][it.shard] = res
-			emit(benches[it.bench].Name, it.shard, hit)
+			if onItem != nil {
+				onItem(ItemEvent{Config: name, Suite: suite, Trace: b.Name, Shard: shard,
+					Done: done, Total: total, Cached: hit})
+			}
 		})
-	}
+	})
 
 	for i := range benches {
-		run.Results[i] = MergeShards(shardRes[i])
+		run.Results[i] = MergeShards(parts[i*perBench : (i+1)*perBench])
 	}
-	run.RanShards = total - int(cached.Load())
-	run.CachedShards = int(cached.Load())
+	run.RanShards = total - cached
+	run.CachedShards = cached
 	return run, ctx.Err()
 }
 
@@ -409,258 +396,138 @@ func (e *Engine) feedWindow(p predictor.Predictor, b workload.Benchmark, budget,
 	return res, finalPos, fed
 }
 
-// runShard serves one work item with the engine's own geometry,
-// dispatching it to the RemoteRunner when one is configured and the
-// item is rebuildable by name on the other side (DESIGN.md §14);
-// everything else takes the local path. ctx only governs remote
-// dispatch — local shard simulation is the engine's atomic unit and
-// runs to completion once started.
-func (e *Engine) runShard(ctx context.Context, builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget, shard int) (Result, bool) {
-	if e.remote != nil && e.remoteEligible(config, b.Name) {
-		key := Key{
-			Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name,
-			Budget: budget, Seed: b.Seed, Shard: shard, Shards: e.shards, Warmup: e.warmup,
-		}
-		if e.store != nil {
-			if res, ok := e.store.Load(key); ok {
-				e.hits.Add(1)
-				return res, true
-			}
-		}
-		item := ItemSpec{
-			Config: config, Suite: suite, Bench: b.Name, Seed: b.Seed,
-			Budget: budget, Shard: shard, Shards: e.shards, Warmup: e.warmup,
-		}
-		return e.runItemRemote(ctx, key, item), false
+// item returns the engine-geometry work item for shard of b, or under
+// ExactShards the chain covering all of b's shards.
+func (e *Engine) item(config, suite string, b workload.Benchmark, budget, shard int) ItemSpec {
+	it := ItemSpec{Config: config, Suite: suite, Bench: b.Name, Seed: b.Seed,
+		Budget: budget, Shard: shard, Shards: e.shards}
+	if e.exact && e.shards > 1 {
+		it.Exact = true
+	} else {
+		it.Warmup = e.warmup
 	}
-	return e.runShardGeom(builder, config, suite, b, budget, shard, e.shards, e.warmup)
+	return it
 }
 
-// runShardGeom serves one work item locally with explicit shard
-// geometry (shards, warmup) — the engine's geometry for local suite
-// runs, the item's geometry when a worker daemon executes a leased
-// ItemSpec (Engine.RunItem), so the store key and the simulated window
-// are those of the dispatching coordinator, not of the worker's own
-// configuration. A shard reads its window of the benchmark's
-// materialized stream (generated once per (trace, seed, budget) and
-// shared across shards and configurations; see DESIGN.md §6), discards
-// records before its warm-up window, trains unmeasured through the
-// window, and measures its segment. Unsharded runs with the snapshot
-// layer enabled first look for a cached prefix snapshot to resume
-// from, and persist their end-of-run state for future longer-budget
-// runs (DESIGN.md §8).
-func (e *Engine) runShardGeom(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget, shard, shards, warmup int) (Result, bool) {
-	key := Key{
-		Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name,
-		Budget: budget, Seed: b.Seed, Shard: shard, Shards: shards, Warmup: warmup,
+// runShard serves one work item, dispatching it to the RemoteRunner
+// when one is configured and the item is rebuildable by name on the
+// other side (DESIGN.md §14); everything else takes the local path.
+// emit reports each shard the item covers.
+func (e *Engine) runShard(ctx context.Context, builder func() predictor.Predictor, b workload.Benchmark, item ItemSpec, emit func(shard int, hit bool)) Result {
+	if e.remote != nil && e.remoteEligible(item.Config, item.Bench) {
+		return e.runItemRemote(ctx, item, emit)
 	}
-	if e.store != nil {
-		if res, ok := e.store.Load(key); ok {
-			e.hits.Add(1)
-			return res, true
-		}
+	return e.runShardGeom(ctx, builder, b, item, emit)
+}
+
+// loadItem serves an item from the store, counting one cache hit and
+// emitting one cached event per shard it covers.
+func (e *Engine) loadItem(item ItemSpec, emit func(shard int, hit bool)) (Result, bool) {
+	if e.store == nil {
+		return Result{}, false
+	}
+	res, ok := e.store.Load(item.key())
+	if !ok {
+		return Result{}, false
+	}
+	first, end := item.shardRange()
+	e.hits.Add(uint64(end - first))
+	for s := first; s < end; s++ {
+		emit(s, true)
+	}
+	return res, true
+}
+
+// runShardGeom serves one work item locally with the item's geometry —
+// the engine's for local suite runs, the leased item's when a worker
+// daemon executes it (Engine.RunItem), so the store key and the
+// simulated window are those of the dispatching coordinator, not of
+// the worker's own configuration. A plain shard reads its window of
+// the benchmark's materialized stream (generated once per (trace,
+// seed, budget) and shared across shards and configurations; see
+// DESIGN.md §6), discards records before its warm-up window, trains
+// unmeasured through the window, and measures its segment. Unsharded
+// runs and exact chains measure the whole stream from record 0; with
+// the snapshot layer on they first resume from the longest cached
+// prefix within the budget and save their state at the end, and an
+// exact chain also at every shard boundary it crosses (DESIGN.md §8),
+// which is what makes its merged counters bit-identical to the
+// unsharded run. A canceled ctx stops the item at its next shard
+// boundary, unstored; an exact chain keeps the boundary snapshots it
+// already took.
+func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Predictor, b workload.Benchmark, item ItemSpec, emit func(shard int, hit bool)) Result {
+	if res, ok := e.loadItem(item, emit); ok {
+		return res
 	}
 	if err := faultinject.Err("sim/engine.item"); err != nil {
 		// Injected work-item failure: panic so forEach re-raises on the
 		// caller, the same path a real simulation bug would take.
 		panic(err)
 	}
-	start := workload.ShardStart(budget, shard, shards)
-	end := start + workload.ShardBudget(budget, shard, shards)
-	skip := start - warmup
-	if skip < 0 {
-		skip = 0
-	}
-	measureEnd := end
-	if shards == 1 {
-		// Unsharded runs keep the generator's episode-granular
-		// overshoot, bit-identical to a plain Feed.
-		measureEnd = noLimit
+	budget, shards, chain := item.Budget, item.Shards, item.chain()
+	// Records in [skip, start) train unmeasured; [start, end) is
+	// measured. Unsharded runs and exact chains keep the generator's
+	// episode-granular overshoot, bit-identical to a plain Feed.
+	skip, start, end := 0, 0, noLimit
+	if shards > 1 && !chain {
+		start = workload.ShardStart(budget, item.Shard, shards)
+		end = start + workload.ShardBudget(budget, item.Shard, shards)
+		skip = max(start-item.Warmup, 0)
 	}
 	var p predictor.Predictor
-	var partial Result
-	canSnapshot := e.snapshots && shards == 1 && e.store != nil
+	var res Result
+	canSnapshot := e.store != nil && (chain || e.snapshots && shards == 1)
 	if canSnapshot {
-		if rp, part, pos := e.resume(builder, config, suite, b, budget); rp != nil {
+		if rp, part, pos := e.resume(builder, item.Config, item.Suite, b, budget); rp != nil {
 			// The snapshot carries both the exact predictor state at
 			// pos and the counters measured over [0, pos); measurement
 			// continues at pos.
-			p, partial, skip, start = rp, part, pos, pos
+			p, res, skip, start = rp, part, pos, pos
 		}
 	}
 	if p == nil {
 		p = builder()
 	}
-	res, finalPos, fed := e.feedWindow(p, b, budget, skip, start, measureEnd)
-	res.Instructions += partial.Instructions
-	res.Records += partial.Records
-	res.Conditionals += partial.Conditionals
-	res.Mispredicted += partial.Mispredicted
-	e.simulated.Add(1)
-	e.records.Add(uint64(fed))
+	res.Trace, res.Predictor = b.Name, p.Name()
+	first, last := item.shardRange()
+	for s := first; s < last; s++ {
+		segEnd := end
+		if chain && s < last-1 {
+			segEnd = workload.ShardStart(budget, s+1, shards)
+		}
+		// A chain segment behind the resume point is already in res.
+		if segEnd > start {
+			if ctx.Err() != nil {
+				return Result{}
+			}
+			part, finalPos, fed := e.feedWindow(p, b, budget, skip, start, segEnd)
+			res = res.add(part)
+			skip, start = finalPos, finalPos
+			e.records.Add(uint64(fed))
+			if canSnapshot && finalPos > 0 {
+				// Measurement runs from record 0 here, so res is the
+				// resume payload for [0, finalPos).
+				e.saveSnapshot(p, item.Config, item.Suite, b, finalPos, res)
+			}
+		}
+		emit(s, false)
+	}
+	e.simulated.Add(uint64(last - first))
 	if e.store != nil {
 		// Best-effort: a full disk or read-only cache directory must
 		// not fail the simulation; the run simply stays uncached.
-		_ = e.store.Save(key, res)
+		_ = e.store.Save(item.key(), res)
 	}
-	if canSnapshot && finalPos > 0 {
-		e.saveSnapshot(p, config, suite, b, finalPos, res)
-	}
-	return res, false
-}
-
-// exactKey is the store key of shard i of an exact n-way chain.
-func exactKey(config, suite string, b workload.Benchmark, budget, i, n int) Key {
-	return Key{
-		Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name,
-		Budget: budget, Seed: b.Seed, Shard: i, Shards: n, Exact: true,
-	}
-}
-
-// runBenchExact runs one benchmark's exact shard chain with the
-// engine's geometry, remotely when a RemoteRunner is configured and
-// the item is rebuildable by name. An exact chain dispatches as one
-// work item covering all shards: shard i needs the predictor state at
-// shard i-1's boundary, so only the whole chain is
-// location-independent (ItemSpec.Exact).
-func (e *Engine) runBenchExact(ctx context.Context, builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget int, emit func(trace string, shard int, hit bool)) ([]Result, int) {
-	if e.remote != nil && e.remoteEligible(config, b.Name) {
-		return e.runBenchExactRemote(ctx, config, suite, b, budget, emit)
-	}
-	return e.runBenchExactGeom(ctx, builder, config, suite, b, budget, e.shards, emit)
-}
-
-// runBenchExactRemote serves an exact chain through the RemoteRunner.
-// Shards already in the store stay cache hits; a chain with any miss
-// dispatches whole (the remote re-derives every boundary state anyway)
-// and only the missing shards' results are taken from the response and
-// stored. See RemoteRunner for the error contract.
-func (e *Engine) runBenchExactRemote(ctx context.Context, config, suite string, b workload.Benchmark, budget int, emit func(trace string, shard int, hit bool)) ([]Result, int) {
-	n := e.shards
-	results := make([]Result, n)
-	hit := make([]bool, n)
-	cached := 0
-	if e.store != nil {
-		for i := 0; i < n; i++ {
-			if res, ok := e.store.Load(exactKey(config, suite, b, budget, i, n)); ok {
-				e.hits.Add(1)
-				results[i], hit[i] = res, true
-				cached++
-			}
-		}
-	}
-	if cached < n {
-		item := ItemSpec{
-			Config: config, Suite: suite, Bench: b.Name, Seed: b.Seed,
-			Budget: budget, Shards: n, Exact: true,
-		}
-		res, err := e.remote.RunItem(ctx, item)
-		if err != nil {
-			if ctx.Err() != nil {
-				return results, cached
-			}
-			panic(fmt.Errorf("sim: remote exact chain %s/%s: %w", config, b.Name, err))
-		}
-		if len(res) != n {
-			panic(fmt.Errorf("sim: remote exact chain %s/%s: got %d results, want %d", config, b.Name, len(res), n))
-		}
-		for i := 0; i < n; i++ {
-			if hit[i] {
-				continue
-			}
-			results[i] = res[i]
-			if e.store != nil {
-				_ = e.store.Save(exactKey(config, suite, b, budget, i, n), res[i])
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		emit(b.Name, i, hit[i])
-	}
-	return results, cached
-}
-
-// runBenchExactGeom simulates every shard of one benchmark as a
-// chained partition of the contiguous stream, with an explicit shard
-// count (the engine's for local runs, the item's when a worker
-// executes a leased exact chain): shard i starts from the exact
-// predictor state at its segment boundary — restored from a cached
-// snapshot, or rebuilt by replaying the stream from the nearest
-// earlier one — so the merged results are bit-identical to the
-// unsharded run. Each shard's result and each boundary state are
-// persisted individually. A canceled ctx stops the chain at the next
-// shard boundary (completed shards are already stored). Returns
-// per-shard results and how many were served from the store.
-func (e *Engine) runBenchExactGeom(ctx context.Context, builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget, shards int, emit func(trace string, shard int, hit bool)) ([]Result, int) {
-	n := shards
-	results := make([]Result, n)
-	cached := 0
-	var p predictor.Predictor
-	pos := 0
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			return results, cached
-		}
-		key := exactKey(config, suite, b, budget, i, n)
-		if e.store != nil {
-			if res, ok := e.store.Load(key); ok {
-				e.hits.Add(1)
-				results[i] = res
-				cached++
-				emit(b.Name, i, true)
-				// The live chain state is now behind this shard's end;
-				// a later uncached shard restores or replays instead.
-				p = nil
-				continue
-			}
-		}
-		if err := faultinject.Err("sim/engine.item"); err != nil {
-			// Injected work-item failure; see runShard.
-			panic(err)
-		}
-		start := workload.ShardStart(budget, i, n)
-		end := start + workload.ShardBudget(budget, i, n)
-		if i == n-1 {
-			// The final shard absorbs the generator's episode-granular
-			// overshoot, exactly like an unsharded run's tail.
-			end = noLimit
-		}
-		if p == nil || pos > start {
-			// Restore the nearest boundary state at or before start, or
-			// replay from record 0 when none is cached.
-			if p, _, pos = e.resume(builder, config, suite, b, start); p == nil {
-				p = builder()
-			}
-		}
-		// feedWindow replays [pos, start) as training — the exact
-		// records of the contiguous run, not an approximation — then
-		// measures [start, end).
-		res, finalPos, fed := e.feedWindow(p, b, budget, pos, start, end)
-		results[i] = res
-		pos = finalPos
-		e.simulated.Add(1)
-		e.records.Add(uint64(fed))
-		if e.store != nil {
-			_ = e.store.Save(key, res)
-			if finalPos > 0 {
-				// Persist the boundary state: it seeds shard i+1 on a
-				// later run, and — because the exact chain measures
-				// every record from 0 — the merged counters double as
-				// the budget-sweep resume payload.
-				e.saveSnapshot(p, config, suite, b, finalPos, MergeShards(results[:i+1]))
-			}
-		}
-		emit(b.Name, i, false)
-	}
-	return results, cached
+	return res
 }
 
 // resume restores the state at the largest cached snapshot position in
 // (0, limit] into a fresh predictor, returning it with the counters
-// measured over [0, pos) and pos. A payload that fails to decode is a
-// miss: the scan falls back to the next shorter prefix. Returns
-// (nil, _, 0) when no snapshot applies (none cached, no store, or the
-// predictor is not a Snapshotter).
+// measured over [0, pos) and pos. A payload that fails to decode is
+// quarantined, so the next run that reaches pos rewrites it, and the
+// scan falls back to the next shorter prefix. Returns (nil, _, 0) when
+// no snapshot applies (none cached, no store, or the predictor is not
+// a Snapshotter).
 func (e *Engine) resume(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, limit int) (predictor.Predictor, Result, int) {
 	if e.store == nil {
 		return nil, Result{}, 0
@@ -687,6 +554,7 @@ func (e *Engine) resume(builder func() predictor.Predictor, config, suite string
 		partial, err := decodeSimState(payload, sp)
 		if err != nil {
 			// Corrupt or structurally mismatched snapshot.
+			e.store.quarantineSnapshot(k)
 			continue
 		}
 		e.resumed.Add(1)
@@ -751,10 +619,16 @@ func MergeShards(parts []Result) Result {
 	}
 	out := parts[0]
 	for _, p := range parts[1:] {
-		out.Instructions += p.Instructions
-		out.Records += p.Records
-		out.Conditionals += p.Conditionals
-		out.Mispredicted += p.Mispredicted
+		out = out.add(p)
 	}
 	return out
+}
+
+// add returns r with o's counters added; the labels stay r's.
+func (r Result) add(o Result) Result {
+	r.Instructions += o.Instructions
+	r.Records += o.Records
+	r.Conditionals += o.Conditionals
+	r.Mispredicted += o.Mispredicted
+	return r
 }

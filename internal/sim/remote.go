@@ -35,10 +35,10 @@ type ItemSpec struct {
 	// this item belongs to.
 	Budget int `json:"budget"`
 	// Shard and Shards place the item in its benchmark's split. An
-	// Exact item covers the whole chained partition (Shard is 0 and
-	// RunItem returns Shards results), because shard i of an exact
-	// chain needs the predictor state at shard i-1's boundary — only
-	// the chain as a whole is location-independent.
+	// Exact item covers the whole chained partition (Shard is ignored),
+	// because shard i of an exact chain needs the predictor state at
+	// shard i-1's boundary — only the chain as a whole is
+	// location-independent.
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"`
 	// Warmup is the functional warm-up length (plain sharding only).
@@ -79,14 +79,40 @@ func (it ItemSpec) resolve() (workload.Benchmark, error) {
 	return b, nil
 }
 
+// chain reports whether the item is an exact shard chain; an Exact
+// item of one shard is a plain unsharded run.
+func (it ItemSpec) chain() bool { return it.Exact && it.Shards > 1 }
+
+// shardRange returns the shard indices [first, end) the item covers.
+func (it ItemSpec) shardRange() (first, end int) {
+	if it.chain() {
+		return 0, it.Shards
+	}
+	return it.Shard, it.Shard + 1
+}
+
+// key returns the item's result-store key. An exact chain's merged
+// result is one entry at the chain's shard-0 address, without warm-up
+// (which chaining replaces).
+func (it ItemSpec) key() Key {
+	k := Key{
+		Engine: EngineVersion, Config: it.Config, Suite: it.Suite, Trace: it.Bench,
+		Budget: it.Budget, Seed: it.Seed, Shard: it.Shard, Shards: it.Shards, Warmup: it.Warmup,
+	}
+	if it.chain() {
+		k.Shard, k.Warmup, k.Exact = 0, 0, true
+	}
+	return k
+}
+
 // RemoteRunner executes one work item somewhere else — the seam the
 // coordinator (internal/dist) plugs into the engine. RunItem returns
-// one Result for a plain item and Shards results (in shard order) for
-// an Exact item. The call must be synchronous and idempotent: the
-// engine treats the returned results exactly like locally simulated
-// ones (same store keys, same merge), so re-running an item — a
-// re-dispatched lease, a straggler duplicate — must produce the same
-// bytes, which deterministic simulation guarantees.
+// exactly one Result: a plain item's, or an Exact item's counters
+// merged over its whole chain. The call must be synchronous and
+// idempotent: the engine treats the returned result exactly like a
+// locally simulated one (same store key, same merge), so re-running an
+// item — a re-dispatched lease, a straggler duplicate — must produce
+// the same bytes, which deterministic simulation guarantees.
 //
 // Error contract: a ctx-canceled RunItem returns ctx.Err() and the
 // engine discards the run (the suite call's partial results are thrown
@@ -114,20 +140,19 @@ func (e *Engine) remoteEligible(config, bench string) bool {
 // geometry (not the engine's): the worker side of the coordinator
 // seam. The engine's store, stream cache, snapshot resume, and worker
 // pool all apply, so a worker daemon with a warm cache serves items
-// incrementally like any local run. Panics inside the simulation
+// incrementally like any local run. It returns one Result, merged over
+// the whole chain for an Exact item. Panics inside the simulation
 // (including injected "sim/engine.item" faults) are converted to
 // errors: a worker must survive a poisoned item and report it, not
-// die. A canceled ctx returns ctx.Err() — never a partial exact
-// chain.
+// die. A canceled ctx returns ctx.Err() — never a partial exact chain.
 func (e *Engine) RunItem(ctx context.Context, item ItemSpec) (results []Result, err error) {
 	b, err := item.resolve()
 	if err != nil {
 		return nil, err
 	}
 	b.Seed = item.Seed
-	suite := item.Suite
-	if suite == "" {
-		suite = b.Suite
+	if item.Suite == "" {
+		item.Suite = b.Suite
 	}
 	builder := func() predictor.Predictor { return predictor.MustNew(item.Config) }
 	defer func() {
@@ -144,28 +169,24 @@ func (e *Engine) RunItem(ctx context.Context, item ItemSpec) (results []Result, 
 		return nil, ctx.Err()
 	}
 	defer func() { <-e.sem }()
-	if item.Exact && item.Shards > 1 {
-		res, _ := e.runBenchExactGeom(ctx, builder, item.Config, suite, b, item.Budget, item.Shards,
-			func(string, int, bool) {})
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return res, nil
-	}
-	res, _ := e.runShardGeom(builder, item.Config, suite, b, item.Budget, item.Shard, item.Shards, item.Warmup)
+	res := e.runShardGeom(ctx, builder, b, item, func(int, bool) {})
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
 	return []Result{res}, nil
 }
 
-// runItemRemote dispatches one plain work item to the engine's
-// RemoteRunner and stores the returned result under the same key a
-// local run would use — the content-addressed store stays the merge
-// point, and a duplicate completion of the same item overwrites the
-// entry with identical bytes. See RemoteRunner for the error
-// contract.
-func (e *Engine) runItemRemote(ctx context.Context, key Key, item ItemSpec) Result {
+// runItemRemote serves one work item through the engine's
+// RemoteRunner, unless the store already holds it, and stores the
+// returned result under the key a local run would use — the
+// content-addressed store stays the merge point, and a duplicate
+// completion of the same item overwrites the entry with identical
+// bytes. emit reports each shard the item covers. See RemoteRunner
+// for the error contract.
+func (e *Engine) runItemRemote(ctx context.Context, item ItemSpec, emit func(shard int, hit bool)) Result {
+	if res, ok := e.loadItem(item, emit); ok {
+		return res
+	}
 	res, err := e.remote.RunItem(ctx, item)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -179,7 +200,11 @@ func (e *Engine) runItemRemote(ctx context.Context, key Key, item ItemSpec) Resu
 			item.Config, item.Bench, item.Shard, len(res)))
 	}
 	if e.store != nil {
-		_ = e.store.Save(key, res[0])
+		_ = e.store.Save(item.key(), res[0])
+	}
+	first, end := item.shardRange()
+	for s := first; s < end; s++ {
+		emit(s, false)
 	}
 	return res[0]
 }

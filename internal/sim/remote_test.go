@@ -58,12 +58,15 @@ func TestRunItemMatchesLocalShard(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("plain item returned %d results, want 1", len(res))
 	}
-	ref, _ := NewEngine(EngineConfig{}).runShardGeom(builderFor("gshare"), "gshare", "cbp4", b, 9000, 1, 3, 500)
+	ref := NewEngine(EngineConfig{}).runShardGeom(context.Background(), builderFor("gshare"), b, item, func(int, bool) {})
 	if res[0] != ref {
 		t.Errorf("RunItem %+v != local shard %+v", res[0], ref)
 	}
 }
 
+// TestRunItemExactChainMatchesLocal: a leased exact chain returns one
+// result, merged over the whole chain, equal to a local exact-sharded
+// suite run and to the plain Feed path.
 func TestRunItemExactChainMatchesLocal(t *testing.T) {
 	b := workload.CBP4()[1]
 	worker := NewEngine(EngineConfig{})
@@ -73,15 +76,20 @@ func TestRunItemExactChainMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 3 {
-		t.Fatalf("exact chain returned %d results, want 3", len(res))
+	if len(res) != 1 {
+		t.Fatalf("exact chain returned %d results, want 1", len(res))
 	}
-	ref, _ := NewEngine(EngineConfig{}).runBenchExactGeom(context.Background(),
-		builderFor("bimodal"), "bimodal", "cbp4", b, 9000, 3, func(string, int, bool) {})
-	for i := range ref {
-		if res[i] != ref[i] {
-			t.Errorf("shard %d: RunItem %+v != local %+v", i, res[i], ref[i])
-		}
+	local := NewEngine(EngineConfig{Shards: 3, ExactShards: true}).
+		RunSuite(builderFor("bimodal"), "bimodal", "cbp4", []workload.Benchmark{b}, 9000)
+	if res[0] != local.Results[0] {
+		t.Errorf("RunItem %+v != local chain %+v", res[0], local.Results[0])
+	}
+	direct, err := RunBenchmark("bimodal", b, 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0] != direct {
+		t.Errorf("RunItem %+v != RunBenchmark %+v", res[0], direct)
 	}
 }
 

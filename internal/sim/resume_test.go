@@ -1,9 +1,16 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/snap"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -172,26 +179,23 @@ func TestExactShardsCachedAndChained(t *testing.T) {
 // TestResumeSkipsUndecodableSnapshot: a snapshot whose file framing is
 // valid but whose payload does not decode is a miss, and resume falls
 // back to the next shorter cached prefix — for a budget extension under
-// Snapshots and for an ExactShards chain restoring a later shard. The
-// fallback still counts as a resume, and results stay those of a cold
-// run.
+// Snapshots and for an ExactShards chain whose final snapshot is
+// poisoned. The fallback still counts as a resume, and results stay
+// those of a cold run. The poisoned file is quarantined to <path>.bad,
+// so the next run that reaches its position leaves a snapshot there
+// that decodes.
 func TestResumeSkipsUndecodableSnapshot(t *testing.T) {
 	const config = "gshare"
 	b := workload.CBP4()[0]
 	benches := []workload.Benchmark{b}
-	group := SnapKey{Engine: EngineVersion, Config: config, Suite: "cbp4", Trace: b.Name, Seed: b.Seed}
+	at := func(pos int) SnapKey {
+		return SnapKey{Engine: EngineVersion, Config: config, Suite: "cbp4", Trace: b.Name, Seed: b.Seed, Pos: pos}
+	}
 	poison := func(t *testing.T, st *Store, pos int) {
 		t.Helper()
-		k := group
-		k.Pos = pos
-		if err := st.SaveSnapshot(k, []byte("x")); err != nil {
+		if err := st.SaveSnapshot(at(pos), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	streamLen := func(budget int) int {
-		n := 0
-		b.Generate(budget, func(trace.Record) { n++ })
-		return n
 	}
 	check := func(t *testing.T, e *Engine, got SuiteRun, budget, fallback int) {
 		t.Helper()
@@ -199,12 +203,25 @@ func TestResumeSkipsUndecodableSnapshot(t *testing.T) {
 		if st.Resumed != 1 {
 			t.Errorf("resumed %d runs, want 1", st.Resumed)
 		}
-		if want := uint64(streamLen(budget) - fallback); st.RecordsSimulated != want {
+		if want := uint64(streamLen(b, budget) - fallback); st.RecordsSimulated != want {
 			t.Errorf("fed %d records, want %d (resume from position %d)", st.RecordsSimulated, want, fallback)
 		}
 		cold := NewEngine(EngineConfig{}).RunSuite(builderFor(config), config, "cbp4", benches, budget)
 		if got.Results[0] != cold.Results[0] {
 			t.Errorf("%+v != cold %+v", got.Results[0], cold.Results[0])
+		}
+	}
+	rewritten := func(t *testing.T, st *Store, pos int) {
+		t.Helper()
+		if _, err := os.Stat(st.snapPath(at(pos)) + ".bad"); err != nil {
+			t.Errorf("undecodable snapshot at %d not quarantined: %v", pos, err)
+		}
+		payload, ok := st.LoadSnapshot(at(pos))
+		if !ok {
+			t.Fatalf("no snapshot at %d after a run reached it", pos)
+		}
+		if _, err := decodeSimState(payload, builderFor(config)().(snap.Snapshotter)); err != nil {
+			t.Errorf("snapshot at %d still does not decode: %v", pos, err)
 		}
 	}
 
@@ -214,7 +231,7 @@ func TestResumeSkipsUndecodableSnapshot(t *testing.T) {
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 6000)
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 12000)
 		st := OpenStore(dir)
-		pos := st.SnapshotPositions(group)
+		pos := st.SnapshotPositions(at(0))
 		if len(pos) != 2 {
 			t.Fatalf("snapshot positions %v, want two prefixes", pos)
 		}
@@ -223,27 +240,135 @@ func TestResumeSkipsUndecodableSnapshot(t *testing.T) {
 		e := NewEngine(cfg)
 		got := e.RunSuite(builderFor(config), config, "cbp4", benches, 20000)
 		check(t, e, got, 20000, pos[1])
+
+		// Without its result entry, the 12000-budget run reaches the
+		// poisoned position again.
+		if err := os.Remove(st.path(e.item(config, "cbp4", b, 12000, 0).key())); err != nil {
+			t.Fatal(err)
+		}
+		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 12000)
+		rewritten(t, st, pos[0])
 	})
 
 	t.Run("exact-shards", func(t *testing.T) {
 		dir := t.TempDir()
-		const budget, shards = 12000, 3
+		// The stream does not overshoot this budget, so the chain's final
+		// snapshot lies within it and is the first a re-run tries.
+		const budget, shards = 9000, 3
 		cfg := EngineConfig{Shards: shards, ExactShards: true, CacheDir: dir}
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, budget)
 		st := OpenStore(dir)
-		// Drop the last shard's result and poison the boundary state it
-		// would restore from: the chain must replay from the boundary
-		// before it.
-		if err := os.Remove(st.path(exactKey(config, "cbp4", b, budget, shards-1, shards))); err != nil {
+		if pos := st.SnapshotPositions(at(0)); len(pos) != shards || pos[0] != budget {
+			t.Fatalf("snapshot positions %v, want %d boundaries ending at %d", pos, shards, budget)
+		}
+		// Drop the chain's entry and poison its final snapshot: the
+		// re-run must resume from the last interior boundary.
+		e := NewEngine(cfg)
+		if err := os.Remove(st.path(e.item(config, "cbp4", b, budget, 0).key())); err != nil {
 			t.Fatal(err)
 		}
-		poison(t, st, workload.ShardStart(budget, shards-1, shards))
+		poison(t, st, budget)
 
-		e := NewEngine(cfg)
 		got := e.RunSuite(builderFor(config), config, "cbp4", benches, budget)
-		if got.CachedShards != shards-1 {
-			t.Errorf("cached %d shards, want %d", got.CachedShards, shards-1)
+		if got.CachedShards != 0 || got.RanShards != shards {
+			t.Errorf("re-run %d ran / %d cached, want all %d ran", got.RanShards, got.CachedShards, shards)
 		}
-		check(t, e, got, budget, workload.ShardStart(budget, shards-2, shards))
+		check(t, e, got, budget, workload.ShardStart(budget, shards-1, shards))
+		rewritten(t, st, budget)
 	})
+}
+
+// TestExactChainCancelResumes: an exact chain canceled mid-way stores
+// no result but keeps the boundary snapshots it crossed, so a fresh
+// engine resumes from the last one and matches a cold run.
+func TestExactChainCancelResumes(t *testing.T) {
+	const config, budget, shards = "tage-gsc+imli", 12000, 4
+	b := workload.CBP4()[0]
+	benches := []workload.Benchmark{b}
+	cfg := EngineConfig{Shards: shards, ExactShards: true, CacheDir: t.TempDir()}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := NewEngine(cfg).RunSuiteContext(ctx, builderFor(config), config, "cbp4", benches, budget,
+		func(ev ItemEvent) {
+			if ev.Done == 2 {
+				cancel()
+			}
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v", err)
+	}
+	last := workload.ShardStart(budget, 2, shards)
+	group := SnapKey{Engine: EngineVersion, Config: config, Suite: "cbp4", Trace: b.Name, Seed: b.Seed}
+	if pos := OpenStore(cfg.CacheDir).SnapshotPositions(group); !slices.Equal(pos, []int{last, workload.ShardStart(budget, 1, shards)}) {
+		t.Fatalf("snapshot positions %v after canceling at shard 2 of %d", pos, shards)
+	}
+
+	e := NewEngine(cfg)
+	got := e.RunSuite(builderFor(config), config, "cbp4", benches, budget)
+	st := e.Stats()
+	if st.Resumed != 1 || st.CacheHits != 0 {
+		t.Errorf("re-run stats %+v, want one resume and no cache hit", st)
+	}
+	if want := uint64(streamLen(b, budget) - last); st.RecordsSimulated != want {
+		t.Errorf("re-run fed %d records, want %d (resume from %d)", st.RecordsSimulated, want, last)
+	}
+	cold := NewEngine(EngineConfig{}).RunSuite(builderFor(config), config, "cbp4", benches, budget)
+	if got.Results[0] != cold.Results[0] {
+		t.Errorf("resumed chain %+v != cold %+v", got.Results[0], cold.Results[0])
+	}
+}
+
+// TestExactSweepResumesAcrossBudgets: an ascending exact budget sweep
+// over one store feeds each benchmark's max-budget stream exactly once
+// (every budget after the first resumes from the previous chain's end),
+// keeps one result entry per chain, and matches unsharded cold runs at
+// every budget.
+func TestExactSweepResumesAcrossBudgets(t *testing.T) {
+	const config, shards = "tage-gsc+imli", 3
+	benches := workload.CBP4()[:2]
+	budgets := []int{4000, 8000, 12000}
+	dir := t.TempDir()
+	e := NewEngine(EngineConfig{Shards: shards, ExactShards: true, CacheDir: dir})
+	for _, budget := range budgets {
+		got := e.RunSuite(builderFor(config), config, "cbp4", benches, budget)
+		cold := NewEngine(EngineConfig{}).RunSuite(builderFor(config), config, "cbp4", benches, budget)
+		for i := range benches {
+			if got.Results[i] != cold.Results[i] {
+				t.Errorf("budget %d %s: exact %+v != cold %+v", budget, benches[i].Name, got.Results[i], cold.Results[i])
+			}
+		}
+	}
+
+	st := e.Stats()
+	var fed uint64
+	for _, b := range benches {
+		fed += uint64(streamLen(b, budgets[len(budgets)-1]))
+	}
+	if st.RecordsSimulated != fed {
+		t.Errorf("sweep fed %d records, want the max-budget streams' %d", st.RecordsSimulated, fed)
+	}
+	if want := uint64(len(benches) * (len(budgets) - 1)); st.Resumed != want {
+		t.Errorf("resumed %d chains, want %d", st.Resumed, want)
+	}
+	entries := 0
+	err := filepath.WalkDir(filepath.Join(dir, versionDir(EngineVersion)), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
+			entries++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(benches) * len(budgets); entries != want {
+		t.Errorf("store holds %d result entries, want one per chain (%d)", entries, want)
+	}
+}
+
+// streamLen is the length of b's stream at budget, overshoot included.
+func streamLen(b workload.Benchmark, budget int) int {
+	n := 0
+	b.Generate(budget, func(trace.Record) { n++ })
+	return n
 }

@@ -15,7 +15,8 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Key identifies one shard simulation in the on-disk result store.
+// Key identifies one work item's simulation in the on-disk result
+// store: a shard, or a whole exact chain (Shard 0, Warmup 0, Exact).
 // Every field that influences the simulated counters participates, so
 // a key collision means the cached result is genuinely reusable:
 // predictor configuration, workload identity (trace name + generator
@@ -71,8 +72,8 @@ func hashJSON(v any) string {
 func (k Key) id() string { return hashJSON(k) }
 
 // Store is a content-addressed cache on disk holding two entry kinds:
-// immutable per-shard result JSON files and predictor-state snapshot
-// blobs. Entries live under a per-engine-version directory
+// immutable work-item result JSON files (one per shard, or one per
+// exact chain) and predictor-state snapshot blobs. Entries live under a per-engine-version directory
 // (v<EngineVersion>/), so bumping the version orphans — and Prune can
 // delete — every stale entry. Concurrent readers and writers
 // (including separate processes sharing the directory) are safe:
@@ -80,7 +81,7 @@ func (k Key) id() string { return hashJSON(k) }
 //
 // Layout:
 //
-//	<dir>/v<N>/<id[:2]>/<id[2:]>.json   shard results
+//	<dir>/v<N>/<id[:2]>/<id[2:]>.json   work-item results
 //	<dir>/v<N>/snap/<gid>/<pos>.snap    snapshots, grouped per
 //	                                    (config, suite, trace, seed)
 //	<dir>/streams/v<N>/                 spilled streams (see workload)
@@ -257,6 +258,11 @@ func (s *Store) LoadSnapshot(k SnapKey) ([]byte, bool) {
 	}
 	return data[n:], true
 }
+
+// quarantineSnapshot moves a snapshot whose framing is valid but whose
+// payload does not decode out of the address space, like a framing
+// failure, so a later save at its position rewrites it.
+func (s *Store) quarantineSnapshot(k SnapKey) { s.quarantine(s.snapPath(k)) }
 
 // HasSnapshot reports whether a snapshot file exists for the key
 // (without reading it; used to keep repeated saves idempotent).
