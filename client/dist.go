@@ -8,11 +8,11 @@ import (
 // This file holds the worker-pull work-queue wire types and calls
 // (DESIGN.md §14, docs/API.md): a coordinator-mode imlid exposes its
 // engine's work items under /v1/work/, and worker processes
-// (cmd/imliworker, or imlid -worker) lease items, simulate them with a
-// local engine, and post completions. The endpoints share the /v1
-// JSON-envelope conventions but are not rate-limited — workers are
-// trusted infrastructure, and throttling them would throttle every
-// job on the coordinator.
+// (cmd/imliworker) lease items, simulate them with a local engine, and
+// post completions. The endpoints share the /v1 JSON-envelope
+// conventions but are not rate-limited — workers are trusted
+// infrastructure, and throttling them would throttle every job on the
+// coordinator.
 
 // WorkItem is one leased unit of simulation: a (config × bench ×
 // shard) work item, or a whole exact shard chain when Exact is set

@@ -20,11 +20,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -57,29 +57,19 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	params := eng.Params(*branches)
 	seedList, err := cliflags.SeedList(*seeds)
 	if err != nil {
 		return err
 	}
-	params.Seeds = seedList
+	toRun, err := experiments.Select(*exp)
+	if err != nil {
+		return err
+	}
+	params := experiments.Params{Budget: *branches, Seeds: seedList, Engine: sim.NewEngine(eng.Config())}
 	if !*quiet {
 		params.Progress = stderr
 	}
 	runner := experiments.NewRunner(params)
-
-	var toRun []experiments.Experiment
-	if *exp == "all" {
-		toRun = experiments.All()
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			e, err := experiments.ByID(strings.TrimSpace(id))
-			if err != nil {
-				return err
-			}
-			toRun = append(toRun, e)
-		}
-	}
 
 	for _, e := range toRun {
 		start := time.Now()

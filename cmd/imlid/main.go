@@ -23,18 +23,17 @@
 //
 // With -coordinator the daemon's engine stops simulating in-process
 // and instead serves its work items as a worker-pull queue under
-// /v1/work/ (DESIGN.md §14); worker processes (cmd/imliworker, or
-// imlid -worker <url>) lease items, simulate them locally, and post
-// results back. Distributed results are bit-identical to in-process
-// runs; a worker lost mid-item is re-dispatched after -lease-ttl.
+// /v1/work/ (DESIGN.md §14); cmd/imliworker fleet members lease items,
+// simulate them locally, and post results back. Distributed results
+// are bit-identical to in-process runs; a worker lost mid-item is
+// re-dispatched after -lease-ttl.
 //
 // Usage:
 //
 //	imlid -addr=:8327 -cache-dir=.imli-cache -snapshots
 //	imlid -addr=:8327 -shards=4 -parallel=16 -job-workers=4
 //	imlid -addr=:8327 -cache-dir=.imli-cache -rate-limit=20
-//	imlid -addr=:8327 -coordinator -shards=4   # queue owner
-//	imlid -worker http://host:8327             # fleet member
+//	imlid -addr=:8327 -coordinator -shards=4   # queue owner for imliworker fleets
 //	imlid -once                     # one-shot self-test loop, then exit
 //
 // Submit a job with curl:
@@ -55,8 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -103,11 +100,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := dflags.Validate(); err != nil {
 		return err
 	}
-	if *once && (dflags.Coordinator || dflags.WorkerURL != "") {
-		return fmt.Errorf("-once is an in-process self-test; it does not combine with -coordinator or -worker")
-	}
-	if dflags.WorkerURL != "" {
-		return runWorker(stdout, dflags.WorkerURL, eng)
+	if *once && dflags.Coordinator {
+		return fmt.Errorf("-once is an in-process self-test; it does not combine with -coordinator")
 	}
 	if err := cliflags.Positive("job-workers", *jobWorkers); err != nil {
 		return err
@@ -211,48 +205,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 // off event streams, which last as long as their jobs.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: client.ConnTimeout, IdleTimeout: client.ConnTimeout}
-}
-
-// runWorker runs the daemon as a worker-fleet member: lease loops
-// pulling work items from the coordinator at baseURL until SIGINT or
-// SIGTERM. The worker's engine flags are its own (-parallel bounds
-// concurrent simulations, -cache-dir keeps its warm local store);
-// item geometry — shards, budgets, warm-up — comes from each leased
-// item. Killing a worker at any instant is safe: its leases expire
-// and the coordinator re-dispatches the items.
-func runWorker(stdout io.Writer, baseURL string, eng *cliflags.Engine) error {
-	url, err := cliflags.ParseWorkerURL(baseURL)
-	if err != nil {
-		return err
-	}
-	engine := sim.NewEngine(eng.Config())
-	slots := eng.Parallel
-	if slots <= 0 {
-		slots = runtime.GOMAXPROCS(0)
-	}
-	host, _ := os.Hostname()
-	if host == "" {
-		host = "worker"
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	fmt.Fprintf(stdout, "imlid: worker polling %s (slots %d)\n", url, slots)
-	var wg sync.WaitGroup
-	for i := 0; i < slots; i++ {
-		w := &dist.Worker{
-			Client: client.New(url),
-			Engine: engine,
-			Name:   fmt.Sprintf("%s-%d-%d", host, os.Getpid(), i),
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx)
-		}()
-	}
-	wg.Wait()
-	fmt.Fprintln(stdout, "imlid: worker stopped")
-	return nil
 }
 
 // runOnce exercises the full service loop in-process — the smoke test

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -51,29 +52,19 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	params := eng.Params(*branches)
 	seedList, err := cliflags.SeedList(*seeds)
 	if err != nil {
 		return err
 	}
-	params.Seeds = seedList
+	toRun, err := experiments.Select(*exp)
+	if err != nil {
+		return err
+	}
+	params := experiments.Params{Budget: *branches, Seeds: seedList, Engine: sim.NewEngine(eng.Config())}
 	if !*quiet {
 		params.Progress = stderr
 	}
 	runner := experiments.NewRunner(params)
-
-	var toRun []experiments.Experiment
-	if *exp == "all" {
-		toRun = experiments.All()
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			e, err := experiments.ByID(strings.TrimSpace(id))
-			if err != nil {
-				return err
-			}
-			toRun = append(toRun, e)
-		}
-	}
 
 	var doc strings.Builder
 	renderHeader(&doc, *branches, eng.Shards, *seeds)

@@ -40,6 +40,7 @@ import (
 	"repro/internal/btb"
 	"repro/internal/cliflags"
 	"repro/internal/dist"
+	"repro/internal/experiments"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -131,27 +132,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// newEngine builds the run's engine; with -workers its in-process
-	// simulation is replaced by a loopback coordinator queue served by
-	// a local worker cluster (DESIGN.md §14) — same wire path as a real
-	// fleet, bit-identical results. The caller must invoke the returned
-	// cleanup when the run is done.
-	newEngine := func() (*sim.Engine, func(), error) {
-		cfg := eng.Config()
-		if *workers == 0 {
-			return sim.NewEngine(cfg), func() {}, nil
-		}
-		streams := workload.NewStreamCache(cfg.StreamMemory, "")
-		cluster, err := dist.StartLocal(*workers, dist.CoordinatorConfig{}, func(int) *sim.Engine {
-			return sim.NewEngine(sim.EngineConfig{Streams: streams})
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Remote = cluster.Coordinator
-		return sim.NewEngine(cfg), func() { cluster.Close() }, nil
-	}
-
 	switch {
 	case *listPredictors:
 		names := predictor.Names()
@@ -169,7 +149,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if *traceFile != "" {
 			return fmt.Errorf("-all-configs works on -suite or -bench, not -trace")
 		}
-		engine, done, err := newEngine()
+		engine, done, err := dist.NewEngine(eng.Config(), *workers)
 		if err != nil {
 			return err
 		}
@@ -206,7 +186,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if err := predictor.Check(*config); err != nil {
 			return err
 		}
-		engine, done, err := newEngine()
+		engine, done, err := dist.NewEngine(eng.Config(), *workers)
 		if err != nil {
 			return err
 		}
@@ -294,7 +274,7 @@ func runSuiteSweep(w io.Writer, engine *sim.Engine, config, suite string, benche
 		t.AddRow(benches[bi].Name, sum.FormatMeanCI(), stats.F(sum.Stddev))
 	}
 	fmt.Fprint(w, t.String())
-	avg := stats.Summarize(sweepAvgMPKI(runs), stats.DefaultConfidence)
+	avg := stats.Summarize(experiments.SweepAvgMPKI(runs), stats.DefaultConfidence)
 	line := fmt.Sprintf("%-14s avg over %d traces, %d seeds: %s MPKI",
 		config, len(benches), len(seeds), avg.FormatMeanCI())
 	if cachedShards := sumCached(runs); cachedShards > 0 {
@@ -319,14 +299,6 @@ func runBenchSweep(w io.Writer, config string, b workload.Benchmark, branches in
 	fmt.Fprintf(w, "%-14s %-12s %d seeds: %s MPKI (stddev %.3f)\n",
 		config, b.Name, len(seeds), sum.FormatMeanCI(), sum.Stddev)
 	return nil
-}
-
-func sweepAvgMPKI(runs []sim.SuiteRun) []float64 {
-	out := make([]float64, len(runs))
-	for i, run := range runs {
-		out[i] = run.AvgMPKI()
-	}
-	return out
 }
 
 func sumCached(runs []sim.SuiteRun) int {

@@ -222,3 +222,19 @@ func TestRunSuiteStreamMemFlag(t *testing.T) {
 		t.Error("stream materialization changed reported results")
 	}
 }
+
+func TestRunSuiteWorkersMatchesInProcess(t *testing.T) {
+	// -workers routes the suite through a loopback worker cluster; the
+	// printed results must be byte-identical to the in-process run.
+	args := []string{"-predictor=gshare", "-suite=cbp4", "-branches=3000", "-shards=2"}
+	var local, cluster strings.Builder
+	if err := run(args, &local, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-workers=2"), &cluster, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if local.String() != cluster.String() {
+		t.Errorf("-workers=2 output differs from the in-process run:\n%s\nvs\n%s", cluster.String(), local.String())
+	}
+}

@@ -11,7 +11,7 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{nil, "coordinator"},
+		{nil, "-coordinator http://"},
 		{[]string{"-coordinator", "host:8327"}, "scheme"},
 		{[]string{"-coordinator", "http://"}, "host"},
 		{[]string{"-coordinator", "http://h:1", "-slots=-2"}, "-slots"},

@@ -124,12 +124,7 @@ func Simulate(p Predictor, b Benchmark, budget int) Result {
 type Option func(*engineOptions)
 
 type engineOptions struct {
-	parallel   int
-	shards     int
-	cacheDir   string
-	streamMem  int64
-	snapshots  bool
-	exact      bool
+	cfg        sim.EngineConfig
 	workers    int
 	workersSet bool
 	seeds      []int64
@@ -138,17 +133,17 @@ type engineOptions struct {
 
 // WithParallel bounds concurrent shard simulations (default:
 // GOMAXPROCS).
-func WithParallel(n int) Option { return func(o *engineOptions) { o.parallel = n } }
+func WithParallel(n int) Option { return func(o *engineOptions) { o.cfg.Workers = n } }
 
 // WithShards splits every benchmark's branch budget into n
 // deterministic stream segments simulated as independent work items.
 // Merged MPKI stays within a few percent of the unsharded run; see
 // DESIGN.md §5 for the tolerance and the warm-up caveat.
-func WithShards(n int) Option { return func(o *engineOptions) { o.shards = n } }
+func WithShards(n int) Option { return func(o *engineOptions) { o.cfg.Shards = n } }
 
 // WithCacheDir backs the run with a content-addressed on-disk result
 // store rooted at dir, so repeated identical runs are incremental.
-func WithCacheDir(dir string) Option { return func(o *engineOptions) { o.cacheDir = dir } }
+func WithCacheDir(dir string) Option { return func(o *engineOptions) { o.cfg.CacheDir = dir } }
 
 // WithStreamCache bounds the resident memory of materialized benchmark
 // streams (each benchmark's record stream is generated once per run
@@ -156,7 +151,7 @@ func WithCacheDir(dir string) Option { return func(o *engineOptions) { o.cacheDi
 // 0 selects the default bound; a negative value disables
 // materialization so every shard regenerates its stream prefix.
 func WithStreamCache(maxBytes int64) Option {
-	return func(o *engineOptions) { o.streamMem = maxBytes }
+	return func(o *engineOptions) { o.cfg.StreamMemory = maxBytes }
 }
 
 // WithSnapshots enables the predictor-state snapshot layer (DESIGN.md
@@ -165,14 +160,14 @@ func WithStreamCache(maxBytes int64) Option {
 // configuration and trace resume from the longest cached prefix
 // instead of re-training from record 0 — an ascending budget sweep
 // costs max(budget) simulation work instead of sum(budgets).
-func WithSnapshots(on bool) Option { return func(o *engineOptions) { o.snapshots = on } }
+func WithSnapshots(on bool) Option { return func(o *engineOptions) { o.cfg.Snapshots = on } }
 
 // WithExactSharding switches WithShards from functional warm-up to
 // boundary-snapshot chaining: merged sharded results are bit-identical
 // to the unsharded run (no DESIGN.md §5 tolerance), at the cost of
 // serializing each benchmark's shards on one worker. Implies
 // WithSnapshots.
-func WithExactSharding(on bool) Option { return func(o *engineOptions) { o.exact = on } }
+func WithExactSharding(on bool) Option { return func(o *engineOptions) { o.cfg.ExactShards = on } }
 
 // WithWorkers distributes the run over n in-process workers pulling
 // work items from a loopback coordinator queue (DESIGN.md §14) — the
@@ -211,15 +206,6 @@ func applyOptions(opts []Option) (engineOptions, error) {
 	return o, nil
 }
 
-// engineConfig maps the collected options onto the engine's
-// configuration — the one place the facade's knobs meet sim.
-func (o engineOptions) engineConfig() sim.EngineConfig {
-	return sim.EngineConfig{
-		Workers: o.parallel, Shards: o.shards, CacheDir: o.cacheDir, StreamMemory: o.streamMem,
-		Snapshots: o.snapshots, ExactShards: o.exact,
-	}
-}
-
 // SimulateSuite runs a registry configuration over a whole suite
 // ("cbp4" or "cbp3") in parallel, honoring sharding and caching
 // options.
@@ -235,18 +221,11 @@ func SimulateSuite(config, suite string, budget int, opts ...Option) (SuiteRun, 
 	if err != nil {
 		return SuiteRun{}, err
 	}
-	cfg := o.engineConfig()
-	if o.workers > 0 {
-		cluster, err := dist.StartLocal(o.workers, dist.CoordinatorConfig{}, func(i int) *sim.Engine {
-			return sim.NewEngine(sim.EngineConfig{})
-		})
-		if err != nil {
-			return SuiteRun{}, err
-		}
-		defer cluster.Close()
-		cfg.Remote = cluster.Coordinator
+	engine, stop, err := dist.NewEngine(o.cfg, o.workers)
+	if err != nil {
+		return SuiteRun{}, err
 	}
-	engine := sim.NewEngine(cfg)
+	defer stop()
 	builder := func() Predictor { return predictor.MustNew(config) }
 	return engine.RunSuite(builder, config, suite, benches, budget), nil
 }
@@ -323,7 +302,7 @@ func NewService(cfg ServiceConfig, opts ...Option) (*Service, error) {
 		return nil, fmt.Errorf("imli: NewService does not take WithWorkers; run the service as a coordinator (imlid -coordinator) with a worker fleet instead")
 	}
 	return serve.NewServer(serve.Config{
-		Engine:        sim.NewEngine(o.engineConfig()),
+		Engine:        sim.NewEngine(o.cfg),
 		JobWorkers:    cfg.JobWorkers,
 		QueueDepth:    cfg.QueueDepth,
 		DefaultBudget: cfg.DefaultBudget,
@@ -357,18 +336,13 @@ func RunExperiment(id string, budget int, opts ...Option) (ExperimentReport, err
 	if err := experiments.CheckSeeds(o.seeds); err != nil {
 		return ExperimentReport{}, err
 	}
+	engine, stop, err := dist.NewEngine(o.cfg, o.workers)
+	if err != nil {
+		return ExperimentReport{}, err
+	}
+	defer stop()
 	r := experiments.NewRunner(experiments.Params{
-		Budget:       budget,
-		Parallel:     o.parallel,
-		Shards:       o.shards,
-		CacheDir:     o.cacheDir,
-		StreamMemory: o.streamMem,
-		Snapshots:    o.snapshots,
-		ExactShards:  o.exact,
-		Workers:      o.workers,
-		Seeds:        o.seeds,
-		Progress:     o.progress,
+		Budget: budget, Engine: engine, Seeds: o.seeds, Progress: o.progress,
 	})
-	defer r.Close()
 	return e.Run(r), nil
 }

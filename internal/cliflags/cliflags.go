@@ -1,9 +1,9 @@
 // Package cliflags registers the engine flags shared by the command
-// line tools (imlisim, imlibench, imlireport, imlid), so the flag
-// names, defaults, wording, and the mapping onto sim.EngineConfig live
-// in one place — the audited single source the README table and
-// DESIGN.md §5–§9 describe. Tool-specific flags (imlisim's
-// -cache-prune, imlid's -addr, ...) stay with their tools.
+// line tools (imlisim, imlibench, imlireport, imlid, imliworker), so
+// the flag names, defaults, wording, and the mapping onto
+// sim.EngineConfig live in one place — the audited single source the
+// README table and DESIGN.md §5–§9 describe. Tool-specific flags
+// (imlisim's -cache-prune, imlid's -addr, ...) stay with their tools.
 package cliflags
 
 import (
@@ -15,21 +15,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Engine holds the parsed values of the shared engine flags.
+// Engine holds the parsed values of the shared engine flags. Every
+// flag but -stream-mem binds straight into the embedded engine
+// configuration.
 type Engine struct {
-	// Parallel is -parallel: the engine-wide bound on concurrent shard
-	// simulations.
-	Parallel int
-	// Shards is -shards: work items per benchmark.
-	Shards int
-	// CacheDir is -cache-dir: the on-disk result store root.
-	CacheDir string
+	sim.EngineConfig
 	// StreamMemMiB is -stream-mem in MiB (0 default, negative
-	// disables).
+	// disables); Config converts it to EngineConfig.StreamMemory.
 	StreamMemMiB int
-	// Snapshots is -snapshots; ExactShards is -exact-shards.
-	Snapshots   bool
-	ExactShards bool
 }
 
 // Register adds the shared engine flags to fs with the canonical
@@ -37,7 +30,7 @@ type Engine struct {
 // land in.
 func Register(fs *flag.FlagSet) *Engine {
 	e := &Engine{}
-	fs.IntVar(&e.Parallel, "parallel", 0,
+	fs.IntVar(&e.Workers, "parallel", 0,
 		"max concurrent shard simulations, engine-wide (0 = GOMAXPROCS)")
 	fs.IntVar(&e.Shards, "shards", 1,
 		"work items per benchmark: split each budget into contiguous stream segments (DESIGN.md §5)")
@@ -91,28 +84,14 @@ func PositiveDuration(name string, v time.Duration) error {
 	return nil
 }
 
-// Config maps the parsed flags onto an engine configuration.
+// Config maps the parsed flags onto an engine configuration,
+// converting -stream-mem from MiB; a negative value, which disables
+// materialization, maps to -1.
 func (e *Engine) Config() sim.EngineConfig {
-	return sim.EngineConfig{
-		Workers:      e.Parallel,
-		Shards:       e.Shards,
-		CacheDir:     e.CacheDir,
-		StreamMemory: sim.StreamMemoryFromMiB(e.StreamMemMiB),
-		Snapshots:    e.Snapshots,
-		ExactShards:  e.ExactShards,
+	cfg := e.EngineConfig
+	cfg.StreamMemory = int64(e.StreamMemMiB) << 20
+	if e.StreamMemMiB < 0 {
+		cfg.StreamMemory = -1
 	}
-}
-
-// Params maps the parsed flags onto experiment-harness parameters at
-// the given branch budget.
-func (e *Engine) Params(budget int) experiments.Params {
-	return experiments.Params{
-		Budget:       budget,
-		Parallel:     e.Parallel,
-		Shards:       e.Shards,
-		CacheDir:     e.CacheDir,
-		StreamMemory: sim.StreamMemoryFromMiB(e.StreamMemMiB),
-		Snapshots:    e.Snapshots,
-		ExactShards:  e.ExactShards,
-	}
+	return cfg
 }

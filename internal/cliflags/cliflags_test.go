@@ -32,14 +32,6 @@ func TestDistDefaultsValidate(t *testing.T) {
 	}
 }
 
-func TestCoordinatorAndWorkerAreExclusive(t *testing.T) {
-	d, _ := parseDist(t, "-coordinator", "-worker", "http://host:1")
-	err := d.Validate()
-	if err == nil || !strings.Contains(err.Error(), "exclusive") {
-		t.Errorf("Validate = %v, want exclusivity error", err)
-	}
-}
-
 func TestLeaseTTLMustBePositive(t *testing.T) {
 	d, _ := parseDist(t, "-coordinator", "-lease-ttl", "-1s")
 	err := d.Validate()

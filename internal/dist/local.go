@@ -10,12 +10,42 @@ import (
 
 	"repro/client"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
+
+// NewEngine builds the engine cfg describes. With workers > 0 the
+// engine coordinates a loopback cluster of that many workers
+// (StartLocal) instead of simulating registry work items in-process;
+// results are bit-identical either way. The coordinating engine and
+// its workers share one stream cache — cfg.Streams, or one sized by
+// cfg.StreamMemory — so each benchmark stream is still generated once
+// per process; that shared cache never spills to disk. Call stop when
+// the engine is no longer needed: it shuts the cluster down.
+func NewEngine(cfg sim.EngineConfig, workers int) (engine *sim.Engine, stop func(), err error) {
+	if workers < 0 {
+		return nil, nil, fmt.Errorf("dist: worker count must be >= 0, got %d", workers)
+	}
+	if workers == 0 {
+		return sim.NewEngine(cfg), func() {}, nil
+	}
+	streams := cfg.Streams
+	if streams == nil {
+		streams = workload.NewStreamCache(cfg.StreamMemory, "")
+	}
+	cluster, err := StartLocal(workers, CoordinatorConfig{}, func(int) *sim.Engine {
+		return sim.NewEngine(sim.EngineConfig{Streams: streams})
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Streams, cfg.Remote = streams, cluster.Coordinator
+	return sim.NewEngine(cfg), cluster.Close, nil
+}
 
 // Cluster is a self-contained coordinator plus n worker loops talking
 // to it over a real loopback HTTP listener — the same wire path a
 // multi-machine deployment uses, shrunk into one process. It backs
-// imli.WithWorkers and the bit-identity/chaos tests.
+// NewEngine and the bit-identity/chaos tests.
 type Cluster struct {
 	// Coordinator is the cluster's queue; pass it as the engine's
 	// RemoteRunner.

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestRegistry(t *testing.T) {
@@ -30,6 +32,27 @@ func TestByIDUnknown(t *testing.T) {
 	}
 }
 
+func TestSelect(t *testing.T) {
+	all, err := Select("all")
+	if err != nil || len(all) != len(All()) {
+		t.Errorf("Select(all) = %d experiments, %v; want %d", len(all), err, len(All()))
+	}
+	got, err := Select(" table1 ,e1")
+	if err != nil {
+		t.Fatalf("Select with spaces: %v", err)
+	}
+	var ids []string
+	for _, e := range got {
+		ids = append(ids, e.ID)
+	}
+	if strings.Join(ids, ",") != "table1,e1" {
+		t.Errorf("Select(\" table1 ,e1\") = %v, want [table1 e1] in order", ids)
+	}
+	if _, err := Select("e1,nope"); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("Select with an unknown ID: err = %v, want it named", err)
+	}
+}
+
 func TestIDsSorted(t *testing.T) {
 	ids := IDs()
 	for i := 1; i < len(ids); i++ {
@@ -52,18 +75,19 @@ func TestRunnerDiskCacheIncremental(t *testing.T) {
 	// A second runner with the same params over the same cache
 	// directory must serve every shard from disk and reproduce the
 	// experiment verbatim — the property that makes repeated
-	// experiment runs and CI incremental.
+	// experiment runs and CI incremental. Each runner gets an engine of
+	// its own, so its stats count only its own work.
 	dir := t.TempDir()
-	params := Params{Budget: 3000, Shards: 2, CacheDir: dir}
+	cfg := sim.EngineConfig{Shards: 2, CacheDir: dir}
 
-	r1 := NewRunner(params)
+	r1 := NewRunner(Params{Budget: 3000, Engine: sim.NewEngine(cfg)})
 	rep1 := runE1(r1)
 	st1 := r1.EngineStats()
 	if st1.Simulated == 0 || st1.CacheHits != 0 {
 		t.Fatalf("first run stats = %+v, want fresh simulation", st1)
 	}
 
-	r2 := NewRunner(params)
+	r2 := NewRunner(Params{Budget: 3000, Engine: sim.NewEngine(cfg)})
 	rep2 := runE1(r2)
 	st2 := r2.EngineStats()
 	if st2.Simulated != 0 {
@@ -83,7 +107,7 @@ func TestRunnerDiskCacheIncremental(t *testing.T) {
 
 	// A runner with a different budget over the same directory must
 	// not be served stale entries.
-	r3 := NewRunner(Params{Budget: 4000, Shards: 2, CacheDir: dir})
+	r3 := NewRunner(Params{Budget: 4000, Engine: sim.NewEngine(cfg)})
 	runE1(r3)
 	if st := r3.EngineStats(); st.CacheHits != 0 {
 		t.Errorf("budget change still hit the cache: %+v", st)
@@ -92,10 +116,10 @@ func TestRunnerDiskCacheIncremental(t *testing.T) {
 
 func TestRunnerProgressReportsCache(t *testing.T) {
 	dir := t.TempDir()
-	r1 := NewRunner(Params{Budget: 2000, CacheDir: dir})
+	r1 := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir})})
 	r1.Suite("bimodal", "cbp4")
 	var buf strings.Builder
-	r2 := NewRunner(Params{Budget: 2000, CacheDir: dir, Progress: &buf})
+	r2 := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir}), Progress: &buf})
 	r2.Suite("bimodal", "cbp4")
 	if !strings.Contains(buf.String(), "40/40 shards cached") {
 		t.Errorf("progress line missing cache accounting: %q", buf.String())
@@ -107,7 +131,7 @@ func TestSuiteAtBudgetResumes(t *testing.T) {
 	// the snapshot layer on resume from each other's end snapshots, and
 	// the full-budget call lands on the same cache entry as Suite.
 	dir := t.TempDir()
-	r := NewRunner(Params{Budget: 8000, CacheDir: dir, Snapshots: true})
+	r := NewRunner(Params{Budget: 8000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir, Snapshots: true})})
 	r.SuiteAtBudget("gshare", "cbp4", 2000)
 	r.SuiteAtBudget("gshare", "cbp4", 4000)
 	got := r.SuiteAtBudget("gshare", "cbp4", 8000)

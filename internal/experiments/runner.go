@@ -4,9 +4,9 @@
 // paper reports and exposes key scalar metrics for tests and for
 // EXPERIMENTS.md (render it with cmd/imlireport). Suite runs are
 // cached inside a Runner so experiments that share configurations
-// (most of them) do not re-simulate, and optionally in an on-disk
-// result store (Params.CacheDir) so repeated runs are incremental
-// across processes.
+// (most of them) do not re-simulate, and in the runner's engine's
+// on-disk result store, when it has one (sim.EngineConfig.CacheDir),
+// so repeated runs are incremental across processes.
 package experiments
 
 import (
@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
-	"repro/internal/dist"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -29,47 +29,13 @@ type Params struct {
 	// Progress, when non-nil, receives one line per completed suite
 	// run (with cache accounting when a result store is configured).
 	Progress io.Writer
-	// Parallel bounds concurrent shard simulations across the whole
-	// runner; 0 means GOMAXPROCS.
-	Parallel int
-	// Shards splits every benchmark into this many engine work items;
-	// 0 or 1 runs benchmarks unsharded (see DESIGN.md §5 for the
-	// merged-MPKI tolerance sharding introduces).
-	Shards int
-	// CacheDir, when non-empty, backs the runner with a
-	// content-addressed on-disk result store so repeated experiment
-	// runs (and CI) only simulate what changed.
-	CacheDir string
-	// StreamMemory bounds the resident memory of materialized
-	// benchmark streams (DESIGN.md §6): 0 means the default bound,
-	// <0 disables materialization.
-	StreamMemory int64
-	// Snapshots enables the predictor-state snapshot layer (DESIGN.md
-	// §8): runs persist end-of-run predictor state in the result store
-	// and longer-budget runs of the same configuration resume from the
-	// longest cached prefix — the scaling experiment's budget sweep
-	// costs max(budget) instead of sum(budgets). Needs CacheDir to
-	// persist anything.
-	Snapshots bool
-	// ExactShards switches sharding to boundary-snapshot chaining, so
-	// sharded results are bit-identical to unsharded runs (DESIGN.md
-	// §8) instead of carrying the §5 warm-up tolerance.
-	ExactShards bool
-	// Workers, when > 0, runs the simulations on a local worker
-	// cluster (DESIGN.md §14): the runner's engine becomes a
-	// coordinator dispatching work items over a loopback worker-pull
-	// queue to this many in-process workers. Results are bit-identical
-	// to in-process execution. The caller must Close the runner to
-	// stop the cluster. Ignored (like the other engine knobs) when
-	// Engine is set.
-	Workers int
-	// Engine, when non-nil, executes the runner's suite simulations
-	// instead of a privately built engine, sharing its worker pool,
-	// stream cache, result store, and snapshots across runners — the
-	// way the imlid service (internal/serve, DESIGN.md §9) backs many
-	// concurrent jobs with one engine. Parallel, Shards, CacheDir,
-	// StreamMemory, Snapshots and ExactShards are ignored when Engine
-	// is set: they are engine construction knobs.
+	// Engine executes the runner's suite simulations; nil means a
+	// default engine (sim.NewEngine with a zero EngineConfig). The
+	// engine's configuration — worker pool, sharding, result store,
+	// stream cache, snapshots — decides how the runs execute. Runners
+	// sharing one engine share all of those, the way the imlid service
+	// (internal/serve, DESIGN.md §9) backs many concurrent jobs with
+	// one engine.
 	Engine *sim.Engine
 	// Context, when non-nil, cancels the runner's simulations: suite
 	// runs started after cancellation return immediately and partially
@@ -128,11 +94,9 @@ func QuickParams() Params { return Params{Budget: 40000} }
 
 // Runner executes and caches suite simulations. The in-memory map
 // deduplicates suite runs inside one process; the engine's result
-// store (Params.CacheDir) makes them incremental across processes.
+// store, when it has one, makes them incremental across processes.
 type Runner struct {
-	params  Params
-	engine  *sim.Engine
-	cluster *dist.Cluster
+	params Params
 
 	mu      sync.Mutex
 	suites  map[string][]workload.Benchmark
@@ -151,33 +115,11 @@ func NewRunner(p Params) *Runner {
 	if err := CheckSeeds(p.Seeds); err != nil {
 		panic(err)
 	}
-	engine := p.Engine
-	var cluster *dist.Cluster
-	if engine == nil {
-		cfg := sim.EngineConfig{
-			Workers: p.Parallel, Shards: p.Shards, CacheDir: p.CacheDir, StreamMemory: p.StreamMemory,
-			Snapshots: p.Snapshots, ExactShards: p.ExactShards,
-		}
-		if p.Workers > 0 {
-			// Local worker cluster: the runner's engine coordinates, and
-			// the workers share one stream cache so each benchmark still
-			// materializes once per process.
-			streams := workload.NewStreamCache(p.StreamMemory, "")
-			var err error
-			cluster, err = dist.StartLocal(p.Workers, dist.CoordinatorConfig{}, func(i int) *sim.Engine {
-				return sim.NewEngine(sim.EngineConfig{Streams: streams})
-			})
-			if err != nil {
-				panic(err) // p.Workers > 0 rules out the only config error
-			}
-			cfg.Remote = cluster.Coordinator
-		}
-		engine = sim.NewEngine(cfg)
+	if p.Engine == nil {
+		p.Engine = sim.NewEngine(sim.EngineConfig{})
 	}
 	return &Runner{
 		params:  p,
-		engine:  engine,
-		cluster: cluster,
 		suites:  workload.Suites(),
 		cache:   map[string]sim.SuiteRun{},
 		started: map[string]chan struct{}{},
@@ -187,22 +129,9 @@ func NewRunner(p Params) *Runner {
 // Params returns the runner's parameters.
 func (r *Runner) Params() Params { return r.params }
 
-// Close stops the runner's local worker cluster, when Params.Workers
-// started one. Safe to call on any runner, any number of times;
-// in-process runners are unaffected.
-func (r *Runner) Close() {
-	r.mu.Lock()
-	cl := r.cluster
-	r.cluster = nil
-	r.mu.Unlock()
-	if cl != nil {
-		cl.Close()
-	}
-}
-
 // EngineStats reports how much work the runner's engine simulated
 // versus served from the on-disk store.
-func (r *Runner) EngineStats() sim.EngineStats { return r.engine.Stats() }
+func (r *Runner) EngineStats() sim.EngineStats { return r.params.Engine.Stats() }
 
 // Benchmarks returns the named suite's benchmark list.
 func (r *Runner) Benchmarks(suite string) []workload.Benchmark { return r.suites[suite] }
@@ -222,10 +151,11 @@ func (r *Runner) SuiteWith(key, suite string, builder func() predictor.Predictor
 }
 
 // SuiteAtBudget is Suite at an explicit branch budget instead of the
-// runner's Params.Budget — the primitive behind budget sweeps. With
-// Params.Snapshots and a CacheDir, an ascending sweep resumes each run
-// from the previous budget's end snapshot, so the sweep costs
-// max(budget) simulation work instead of sum(budgets) (DESIGN.md §8).
+// runner's Params.Budget — the primitive behind budget sweeps. When the
+// runner's engine has snapshots on and a result store, an ascending
+// sweep resumes each run from the previous budget's end snapshot, so
+// the sweep costs max(budget) simulation work instead of sum(budgets)
+// (DESIGN.md §8).
 func (r *Runner) SuiteAtBudget(config, suite string, budget int) sim.SuiteRun {
 	if budget <= 0 || budget == r.params.Budget {
 		return r.Suite(config, suite)
@@ -324,7 +254,7 @@ func (r *Runner) suiteAt(cacheKey, suite string, builder func() predictor.Predic
 	benches := workload.Reseed(r.suites[suite], seed)
 	r.mu.Unlock()
 
-	run, _ := r.engine.RunSuiteContext(r.params.Context, builder, name, suite, benches, budget, nil)
+	run, _ := r.params.Engine.RunSuiteContext(r.params.Context, builder, name, suite, benches, budget, nil)
 
 	r.mu.Lock()
 	r.cache[cacheKey] = run
@@ -396,6 +326,24 @@ func ByID(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+}
+
+// Select resolves an experiment selection — "all", or comma-separated
+// IDs with optional spaces around each — into experiments, in the
+// order given.
+func Select(list string) ([]Experiment, error) {
+	if list == "all" {
+		return All(), nil
+	}
+	var out []Experiment
+	for _, id := range strings.Split(list, ",") {
+		e, err := ByID(strings.TrimSpace(id))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
 }
 
 // IDs lists all experiment IDs, sorted.

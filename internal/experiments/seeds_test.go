@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestSeedSweepDeterminism: the same seed list run in two fresh
@@ -46,7 +48,8 @@ func TestSeedSweepExactShards(t *testing.T) {
 	seeds := []int64{0, 1}
 	plain := NewRunner(Params{Budget: 2000, Seeds: seeds}).SuiteSweep("gshare", "cbp4")
 	sharded := NewRunner(Params{
-		Budget: 2000, Seeds: seeds, Shards: 3, ExactShards: true, CacheDir: t.TempDir(),
+		Budget: 2000, Seeds: seeds,
+		Engine: sim.NewEngine(sim.EngineConfig{Shards: 3, ExactShards: true, CacheDir: t.TempDir()}),
 	}).SuiteSweep("gshare", "cbp4")
 	for s := range plain {
 		for i := range plain[s].Results {

@@ -187,17 +187,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 }
 
-// StreamMemoryFromMiB maps a MiB-denominated -stream-mem flag value
-// onto EngineConfig.StreamMemory, preserving its 0 = default /
-// negative = disable convention. Shared by the CLIs so the convention
-// lives in one place.
-func StreamMemoryFromMiB(mib int) int64 {
-	if mib < 0 {
-		return -1
-	}
-	return int64(mib) << 20
-}
-
 // Shards returns the per-benchmark shard count.
 func (e *Engine) Shards() int { return e.shards }
 
