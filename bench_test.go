@@ -220,8 +220,8 @@ func BenchmarkSimulateSuiteSlice(b *testing.B) {
 // The streamMem knob selects the data path: negative regenerates each
 // shard's stream prefix (O(shards×budget) generation work, the
 // pre-stream-layer behaviour), non-negative materializes each stream
-// once and hands shards read-only slices (O(budget)). The before/after
-// numbers are recorded in BENCH_sim.json.
+// once and hands shards read-only slices (O(budget)). DESIGN.md §6
+// quotes the before/after numbers.
 func benchEngineSharded(b *testing.B, config string, streamMem int64) {
 	b.Helper()
 	benches := workload.CBP4()[:4]
@@ -253,8 +253,8 @@ func BenchmarkEngineSharded8RegenerateTAGE(b *testing.B) {
 // one benchmark. With snapshots disabled every budget re-trains from
 // record 0 (sum(budgets) ≈ 375K records of simulation); with the
 // snapshot layer each budget resumes from the previous one's end
-// snapshot (max(budget) ≈ 200K records). The before/after numbers are
-// recorded in BENCH_sim.json.
+// snapshot (max(budget) ≈ 200K records). DESIGN.md §8 quotes the
+// before/after numbers.
 func benchBudgetSweep(b *testing.B, snapshots bool) {
 	b.Helper()
 	benches := workload.CBP4()[:1]
@@ -263,7 +263,7 @@ func benchBudgetSweep(b *testing.B, snapshots bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := sim.EngineConfig{}
 		if snapshots {
-			cfg.Snapshots = true
+			cfg.ExactShards = true
 			cfg.CacheDir = b.TempDir()
 		}
 		e := sim.NewEngine(cfg)

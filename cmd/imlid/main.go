@@ -30,7 +30,7 @@
 //
 // Usage:
 //
-//	imlid -addr=:8327 -cache-dir=.imli-cache -snapshots
+//	imlid -addr=:8327 -cache-dir=.imli-cache -exact-shards
 //	imlid -addr=:8327 -shards=4 -parallel=16 -job-workers=4
 //	imlid -addr=:8327 -cache-dir=.imli-cache -rate-limit=20
 //	imlid -addr=:8327 -coordinator -shards=4   # queue owner for imliworker fleets

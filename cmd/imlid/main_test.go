@@ -121,7 +121,7 @@ func TestCrashRestartReplay(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	cacheDir := t.TempDir()
-	args := []string{"-cache-dir=" + cacheDir, "-snapshots", "-job-workers=1", "-parallel=2"}
+	args := []string{"-cache-dir=" + cacheDir, "-exact-shards", "-job-workers=1", "-parallel=2"}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()

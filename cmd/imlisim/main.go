@@ -5,12 +5,13 @@
 // -cache-dir makes repeated runs incremental via the on-disk result
 // store. Each benchmark's record stream is materialized once per run
 // and shared across shards and configurations; -stream-mem bounds the
-// resident memory of those streams. -snapshots additionally persists
-// full predictor state at run boundaries so a later, longer-budget run
-// of the same configuration resumes from the cached prefix instead of
-// record 0; -exact-shards chains those snapshots across shard
-// boundaries so sharded results are bit-identical to unsharded runs;
-// -cache-prune deletes entries stranded by engine-version bumps.
+// resident memory of those streams. -exact-shards turns on the
+// snapshot layer: with -cache-dir, full predictor state is persisted
+// at run boundaries so a later, longer-budget run of the same
+// configuration resumes from the cached prefix instead of record 0,
+// and sharded runs chain snapshots across shard boundaries so their
+// results are bit-identical to unsharded runs; -cache-prune deletes
+// entries stranded by engine-version bumps.
 // -workers=N runs the suite through a loopback coordinator queue
 // served by N local worker processes-in-miniature (DESIGN.md §14) —
 // the same wire path a distributed imlid fleet uses, with
@@ -22,7 +23,7 @@
 //	imlisim -predictor=gehl -bench=SPEC2K6-12 -branches=500000
 //	imlisim -predictor=tage-gsc -trace=out/SPEC2K6-12.imlt
 //	imlisim -suite=cbp4 -all-configs -shards=4 -cache-dir=.imli-cache
-//	imlisim -suite=cbp4 -branches=200000 -snapshots -cache-dir=.imli-cache
+//	imlisim -suite=cbp4 -branches=200000 -exact-shards -cache-dir=.imli-cache
 //	imlisim -predictor=tage-gsc -suite=cbp4 -seeds=5   # mean ± 95% CI per trace
 //	imlisim -predictor=tage-gsc -suite=cbp4 -workers=4 # loopback worker cluster
 //	imlisim -cache-dir=.imli-cache -cache-prune

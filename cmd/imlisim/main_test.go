@@ -67,12 +67,12 @@ func TestRunSnapshotsAndExactShards(t *testing.T) {
 	// A short run with snapshots, then a longer one that resumes: the
 	// longer run's output must match a cold run of the same budget.
 	if err := run([]string{"-predictor=gshare", "-suite=cbp4", "-branches=1000",
-		"-snapshots", "-cache-dir=" + dir}, io.Discard, io.Discard); err != nil {
+		"-exact-shards", "-cache-dir=" + dir}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var resumed, cold strings.Builder
 	if err := run([]string{"-predictor=gshare", "-suite=cbp4", "-branches=2000",
-		"-snapshots", "-cache-dir=" + dir}, &resumed, io.Discard); err != nil {
+		"-exact-shards", "-cache-dir=" + dir}, &resumed, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-predictor=gshare", "-suite=cbp4", "-branches=2000"},

@@ -35,11 +35,12 @@ func ExampleWithStreamCache() {
 	// Output: 40 benchmarks simulated
 }
 
-// ExampleWithSnapshots shows budget-sweep resume (DESIGN.md §8): with
-// snapshots on, a longer-budget run of the same configuration resumes
-// from the persisted end-state of a shorter one instead of re-training
-// from record 0 — and the result stays bit-identical to a cold run.
-func ExampleWithSnapshots() {
+// ExampleWithExactSharding_resume shows budget-sweep resume
+// (DESIGN.md §8): with the snapshot layer on and a cache directory, a
+// longer-budget run of the same configuration resumes from the
+// persisted end-state of a shorter one instead of re-training from
+// record 0 — and the result stays bit-identical to a cold run.
+func ExampleWithExactSharding_resume() {
 	dir, err := os.MkdirTemp("", "imli-cache-*")
 	if err != nil {
 		panic(err)
@@ -48,12 +49,12 @@ func ExampleWithSnapshots() {
 
 	// The short run persists its end-of-run predictor state...
 	if _, err := imli.SimulateSuite("gshare", "cbp4", 2000,
-		imli.WithSnapshots(true), imli.WithCacheDir(dir)); err != nil {
+		imli.WithExactSharding(true), imli.WithCacheDir(dir)); err != nil {
 		panic(err)
 	}
 	// ...and the longer run resumes from it, simulating only the tail.
 	resumed, err := imli.SimulateSuite("gshare", "cbp4", 4000,
-		imli.WithSnapshots(true), imli.WithCacheDir(dir))
+		imli.WithExactSharding(true), imli.WithCacheDir(dir))
 	if err != nil {
 		panic(err)
 	}

@@ -14,8 +14,7 @@
 //   - the experiment harness that regenerates every table and figure of
 //     the paper (Experiments, RunExperiment);
 //   - engine controls for both (WithParallel, WithShards, WithCacheDir,
-//     WithStreamCache, WithSnapshots, WithExactSharding, WithSeeds,
-//     WithProgress):
+//     WithStreamCache, WithExactSharding, WithSeeds, WithProgress):
 //     suite runs fan (benchmark × shard) work items over a bounded
 //     worker pool, read each benchmark's stream from a shared
 //     once-per-run materialization, and can be cached on disk so
@@ -154,19 +153,16 @@ func WithStreamCache(maxBytes int64) Option {
 	return func(o *engineOptions) { o.cfg.StreamMemory = maxBytes }
 }
 
-// WithSnapshots enables the predictor-state snapshot layer (DESIGN.md
-// §8): runs persist their end-of-run predictor state in the result
-// store (WithCacheDir) and later, longer-budget runs of the same
-// configuration and trace resume from the longest cached prefix
-// instead of re-training from record 0 — an ascending budget sweep
-// costs max(budget) simulation work instead of sum(budgets).
-func WithSnapshots(on bool) Option { return func(o *engineOptions) { o.cfg.Snapshots = on } }
-
-// WithExactSharding switches WithShards from functional warm-up to
+// WithExactSharding enables the predictor-state snapshot layer
+// (DESIGN.md §8). With WithCacheDir, runs persist their end-of-run
+// predictor state in the result store, and later, longer-budget runs
+// of the same configuration and trace resume from the longest cached
+// prefix instead of re-training from record 0 — an ascending budget
+// sweep costs max(budget) simulation work instead of sum(budgets).
+// Sharded runs (WithShards) switch from functional warm-up to
 // boundary-snapshot chaining: merged sharded results are bit-identical
 // to the unsharded run (no DESIGN.md §5 tolerance), at the cost of
-// serializing each benchmark's shards on one worker. Implies
-// WithSnapshots.
+// serializing each benchmark's shards on one worker.
 func WithExactSharding(on bool) Option { return func(o *engineOptions) { o.cfg.ExactShards = on } }
 
 // WithWorkers distributes the run over n in-process workers pulling

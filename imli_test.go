@@ -156,14 +156,14 @@ func TestFacadeSnapshotOptions(t *testing.T) {
 		t.Skip("simulation")
 	}
 	dir := t.TempDir()
-	// Ascending budgets with WithSnapshots: the longer run resumes from
+	// Ascending budgets with WithExactSharding: the longer run resumes from
 	// the shorter run's snapshot and still matches a cold run exactly.
 	if _, err := imli.SimulateSuite("gshare", "cbp4", 2000,
-		imli.WithSnapshots(true), imli.WithCacheDir(dir)); err != nil {
+		imli.WithExactSharding(true), imli.WithCacheDir(dir)); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := imli.SimulateSuite("gshare", "cbp4", 5000,
-		imli.WithSnapshots(true), imli.WithCacheDir(dir))
+		imli.WithExactSharding(true), imli.WithCacheDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

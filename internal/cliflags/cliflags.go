@@ -38,10 +38,8 @@ func Register(fs *flag.FlagSet) *Engine {
 		"content-addressed result cache directory; repeated runs only simulate what is missing")
 	fs.IntVar(&e.StreamMemMiB, "stream-mem", 0,
 		"materialized-stream cache bound in MiB (0 = default, negative disables materialization; DESIGN.md §6)")
-	fs.BoolVar(&e.Snapshots, "snapshots", false,
-		"persist predictor-state snapshots and resume longer-budget runs from cached prefixes (needs -cache-dir; DESIGN.md §8)")
 	fs.BoolVar(&e.ExactShards, "exact-shards", false,
-		"chain shard boundary snapshots so sharded results are bit-identical to unsharded runs (implies -snapshots)")
+		"snapshot predictor state: sharded runs chain shard boundaries, bit-identical to unsharded runs; with -cache-dir, longer-budget runs resume from stored prefixes (DESIGN.md §8)")
 	return e
 }
 

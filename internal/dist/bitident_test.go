@@ -72,11 +72,11 @@ func TestDistributedBitIdentityAllConfigs(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	// Exact mode: Snapshots+ExactShards on, merged counters must equal
+	// Exact mode: ExactShards on, merged counters must equal
 	// the serial engine's bit for bit.
-	serialExact := sim.NewEngine(sim.EngineConfig{Shards: shards, ExactShards: true, Snapshots: true})
+	serialExact := sim.NewEngine(sim.EngineConfig{Shards: shards, ExactShards: true})
 	distExact := sim.NewEngine(sim.EngineConfig{
-		Shards: shards, ExactShards: true, Snapshots: true,
+		Shards: shards, ExactShards: true,
 		CacheDir: t.TempDir(), Remote: cluster.Coordinator,
 	})
 	// Plain warm-up sharding: each shard is its own leased item.

@@ -50,9 +50,9 @@ func TestChaosBitIdentity(t *testing.T) {
 
 	// No coordinator-side store: every (config, bench) chain must cross
 	// the wire, so Completed counts enqueued items one for one.
-	serial := sim.NewEngine(sim.EngineConfig{Shards: shards, ExactShards: true, Snapshots: true})
+	serial := sim.NewEngine(sim.EngineConfig{Shards: shards, ExactShards: true})
 	dist := sim.NewEngine(sim.EngineConfig{
-		Shards: shards, ExactShards: true, Snapshots: true, Remote: cluster.Coordinator,
+		Shards: shards, ExactShards: true, Remote: cluster.Coordinator,
 	})
 	for _, config := range configs {
 		ref := serial.RunSuite(builderFor(config), config, "cbp4", benches, budget)

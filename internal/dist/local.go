@@ -19,8 +19,8 @@ import (
 // results are bit-identical either way. The coordinating engine and
 // its workers share one stream cache — cfg.Streams, or one sized by
 // cfg.StreamMemory — so each benchmark stream is still generated once
-// per process; that shared cache never spills to disk. Call stop when
-// the engine is no longer needed: it shuts the cluster down.
+// per process. Call stop when the engine is no longer needed: it shuts
+// the cluster down.
 func NewEngine(cfg sim.EngineConfig, workers int) (engine *sim.Engine, stop func(), err error) {
 	if workers < 0 {
 		return nil, nil, fmt.Errorf("dist: worker count must be >= 0, got %d", workers)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestSuiteAtBudgetResumes(t *testing.T) {
 	// the snapshot layer on resume from each other's end snapshots, and
 	// the full-budget call lands on the same cache entry as Suite.
 	dir := t.TempDir()
-	r := NewRunner(Params{Budget: 8000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir, Snapshots: true})})
+	r := NewRunner(Params{Budget: 8000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir, ExactShards: true})})
 	r.SuiteAtBudget("gshare", "cbp4", 2000)
 	r.SuiteAtBudget("gshare", "cbp4", 4000)
 	got := r.SuiteAtBudget("gshare", "cbp4", 8000)
@@ -159,6 +160,24 @@ func TestRunnerDefaultBudget(t *testing.T) {
 	r := NewRunner(Params{})
 	if r.Params().Budget != DefaultParams().Budget {
 		t.Errorf("default budget = %d", r.Params().Budget)
+	}
+}
+
+// TestSpecExperimentsHonorCancel: spec and localspec simulate outside
+// the engine, so they check the runner's context themselves; a
+// pre-canceled runner simulates no benchmark.
+func TestSpecExperimentsHonorCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRunner(Params{Budget: 20000, Context: ctx})
+	for id, key := range map[string]string{"spec": "immediate.cbp4", "localspec": "ideal.cbp4"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := e.Run(r).Values[key]; v != 0 {
+			t.Errorf("%s: %s = %v after cancellation, want 0", id, key, v)
+		}
 	}
 }
 

@@ -39,6 +39,9 @@ func runLocalSpec(r *Runner) Report {
 		for _, mode := range []sim.LocalMode{sim.LocalIdeal, sim.LocalForwarded, sim.LocalCommitOnly} {
 			var total float64
 			for _, bench := range benches {
+				if r.params.Context.Err() != nil {
+					break // canceled: the report is discarded
+				}
 				res, err := sim.RunLocalSpec(config, mode, delay, bench, r.params.Budget)
 				if err != nil {
 					panic(err) // config is static and has local history

@@ -152,7 +152,7 @@ func (r *Runner) SuiteWith(key, suite string, builder func() predictor.Predictor
 
 // SuiteAtBudget is Suite at an explicit branch budget instead of the
 // runner's Params.Budget — the primitive behind budget sweeps. When the
-// runner's engine has snapshots on and a result store, an ascending
+// runner's engine has ExactShards on and a result store, an ascending
 // sweep resumes each run from the previous budget's end snapshot, so
 // the sweep costs max(budget) simulation work instead of sum(budgets)
 // (DESIGN.md §8).

@@ -37,6 +37,9 @@ func runSpec(r *Runner) Report {
 		for _, mode := range []sim.SpecMode{sim.SpecImmediate, sim.SpecCheckpointed, sim.SpecUnrepaired} {
 			var total float64
 			for _, bench := range benches {
+				if r.params.Context.Err() != nil {
+					break // canceled: the report is discarded
+				}
 				res, err := sim.RunSpecBenchmark(config, mode, bench, r.params.Budget)
 				if err != nil {
 					panic(err) // config is static and composite

@@ -48,7 +48,7 @@ func crashMidJob(t *testing.T, dir string, spec client.Spec, kill int) (string, 
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(serve.Config{
-		Engine:  sim.NewEngine(sim.EngineConfig{CacheDir: dir, Snapshots: true, Workers: 1}),
+		Engine:  sim.NewEngine(sim.EngineConfig{CacheDir: dir, ExactShards: true, Workers: 1}),
 		Journal: jnl,
 	})
 	hs := httptest.NewServer(srv.Handler())
@@ -115,7 +115,7 @@ func TestKillMidJobReplayBitIdentical(t *testing.T) {
 				t.Fatalf("pending after crash = %+v, want exactly %s", p, jobID)
 			}
 			srv2 := serve.NewServer(serve.Config{
-				Engine:  sim.NewEngine(sim.EngineConfig{CacheDir: dir, Snapshots: true}),
+				Engine:  sim.NewEngine(sim.EngineConfig{CacheDir: dir, ExactShards: true}),
 				Journal: jnl2,
 			})
 			hs2 := httptest.NewServer(srv2.Handler())
@@ -161,7 +161,7 @@ func TestWaitSurvivesInjectedFaults(t *testing.T) {
 	defer faultinject.Disable()
 	dir := t.TempDir()
 	srv := serve.NewServer(serve.Config{
-		Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir, Snapshots: true}),
+		Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir, ExactShards: true}),
 	})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

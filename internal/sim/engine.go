@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,9 +24,9 @@ import (
 const EngineVersion = 4
 
 // DefaultShardWarmup is the functional warm-up length (in branch
-// records) a shard trains on before its measured segment when the
-// engine config leaves Warmup at zero. 10K records keeps the merged
-// MPKI within a few percent of the unsharded run (see DESIGN.md §5).
+// records) every warm-up shard the engine schedules trains on before
+// its measured segment. 10K records keeps the merged MPKI within a few
+// percent of the unsharded run (see DESIGN.md §5).
 const DefaultShardWarmup = 10000
 
 // EngineConfig sizes the simulation engine.
@@ -39,34 +37,27 @@ type EngineConfig struct {
 	Workers int
 	// Shards splits each benchmark's branch budget into this many
 	// contiguous segments of the deterministic stream, simulated as
-	// independent work items; <=1 runs each benchmark unsharded. See
-	// DESIGN.md §5 for the accuracy tolerance warm-up sharding
-	// introduces, and ExactShards for the bit-exact mode.
+	// independent work items that each train on DefaultShardWarmup
+	// records before their segment; <=1 runs each benchmark
+	// unsharded. See DESIGN.md §5 for the accuracy tolerance warm-up
+	// sharding introduces, and ExactShards for the bit-exact mode.
 	Shards int
-	// Warmup is the functional warm-up length per shard: how many
-	// records before its segment a shard's fresh predictor trains on
-	// unmeasured. 0 means DefaultShardWarmup; <0 disables warm-up.
-	// Ignored by ExactShards runs.
-	Warmup int
-	// Snapshots enables the predictor-state snapshot layer (DESIGN.md
-	// §8): unsharded runs persist their end-of-run predictor state in
-	// the Store and later, longer-budget runs of the same (config,
-	// trace, seed) resume from the longest cached prefix instead of
-	// record 0 — a budget sweep costs max(budget) simulation work
-	// instead of sum(budgets). Requires a Store (or CacheDir) to
-	// persist anything; predictors that do not implement
-	// predictor.Snapshotter silently run cold.
-	Snapshots bool
-	// ExactShards switches sharding from functional warm-up to
-	// boundary-snapshot chaining: a benchmark's shards execute as one
-	// chained work item on one worker (parallelism comes from
-	// benchmarks and configurations), a checkpointed unsharded run that
-	// saves a boundary snapshot at every shard boundary it crosses, so
-	// merged counters are bit-identical to the unsharded run (no §5
-	// tolerance). A chain resumes from the longest cached snapshot
-	// within its budget — a canceled chain or a budget extension
-	// continues incrementally — and its merged result is one store
-	// entry. Implies Snapshots.
+	// ExactShards turns on the predictor-state snapshot layer
+	// (DESIGN.md §8). With a Store (or CacheDir), an unsharded run
+	// saves its end-of-run predictor state, and a later, longer-budget
+	// run of the same (config, trace, seed) resumes from the longest
+	// stored prefix instead of record 0 — a budget sweep costs
+	// max(budget) simulation work instead of sum(budgets). Sharded
+	// runs chain through boundary snapshots instead of functional
+	// warm-up: a benchmark's shards execute as one chained work item on
+	// one worker (parallelism comes from benchmarks and
+	// configurations), a checkpointed unsharded run that snapshots
+	// every shard boundary it crosses, so merged counters are
+	// bit-identical to the unsharded run (no §5 tolerance). A chain
+	// resumes like an unsharded run — a canceled chain or a budget
+	// extension continues incrementally — and its merged result is one
+	// store entry. Predictors that do not implement
+	// predictor.Snapshotter run cold.
 	ExactShards bool
 	// Store, when non-nil, caches work-item results (and snapshots) on
 	// disk so repeated runs are incremental.
@@ -119,15 +110,14 @@ type EngineStats struct {
 // predictor instance is built per work item (the CBP methodology:
 // traces — and here shards — are independent runs), except when a
 // cached snapshot supplies the exact state of a stream prefix
-// (Snapshots / ExactShards).
+// (ExactShards).
 type Engine struct {
-	workers   int
-	shards    int
-	warmup    int
-	snapshots bool
-	exact     bool
-	store     *Store
-	streams   *workload.StreamCache
+	workers int
+	shards  int
+	// exact is ExactShards: snapshot resume and boundary chaining.
+	exact   bool
+	store   *Store
+	streams *workload.StreamCache
 	// sem is the engine-wide worker bound: every work item, from every
 	// concurrent RunSuite call sharing this engine, holds one slot
 	// while it simulates. Long-running services (internal/serve) rely
@@ -156,31 +146,14 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	switch {
-	case cfg.Warmup == 0:
-		cfg.Warmup = DefaultShardWarmup
-	case cfg.Warmup < 0:
-		cfg.Warmup = 0
-	}
 	if cfg.Store == nil && cfg.CacheDir != "" {
 		cfg.Store = OpenStore(cfg.CacheDir)
 	}
 	if cfg.Streams == nil && cfg.StreamMemory >= 0 {
-		// Private stream cache; when the engine has an on-disk result
-		// store, spill materialized streams next to it so later
-		// processes reload instead of regenerating. The spill lives
-		// under a per-EngineVersion directory: the same bump that
-		// invalidates stale results also orphans stale streams, so a
-		// generator change can never resurrect pre-change records.
-		spill := ""
-		if cfg.Store != nil && cfg.Store.Dir() != "" {
-			spill = filepath.Join(cfg.Store.Dir(), "streams", fmt.Sprintf("v%d", EngineVersion))
-		}
-		cfg.Streams = workload.NewStreamCache(cfg.StreamMemory, spill)
+		cfg.Streams = workload.NewStreamCache(cfg.StreamMemory, "")
 	}
 	return &Engine{
-		workers: cfg.Workers, shards: cfg.Shards, warmup: cfg.Warmup,
-		snapshots: cfg.Snapshots || cfg.ExactShards, exact: cfg.ExactShards,
+		workers: cfg.Workers, shards: cfg.Shards, exact: cfg.ExactShards,
 		store: cfg.Store, streams: cfg.Streams,
 		remote: cfg.Remote,
 		sem:    make(chan struct{}, cfg.Workers),
@@ -393,7 +366,7 @@ func (e *Engine) item(config, suite string, b workload.Benchmark, budget, shard 
 	if e.exact && e.shards > 1 {
 		it.Exact = true
 	} else {
-		it.Warmup = e.warmup
+		it.Warmup = DefaultShardWarmup
 	}
 	return it
 }
@@ -465,7 +438,7 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 	}
 	var p predictor.Predictor
 	var res Result
-	canSnapshot := e.store != nil && (chain || e.snapshots && shards == 1)
+	canSnapshot := e.store != nil && (chain || e.exact && shards == 1)
 	if canSnapshot {
 		if rp, part, pos := e.resume(builder, item.Config, item.Suite, b, budget); rp != nil {
 			// The snapshot carries both the exact predictor state at

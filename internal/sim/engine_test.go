@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -126,13 +127,17 @@ func TestEngineStoreRoundTrip(t *testing.T) {
 }
 
 func TestEngineWarmupKeysCache(t *testing.T) {
-	benches := workload.CBP4()[:1]
-	store := OpenStore(t.TempDir())
-	e1 := NewEngine(EngineConfig{Shards: 2, Warmup: 500, Store: store})
-	e1.RunSuite(builderFor("bimodal"), "bimodal", "cbp4", benches, 4000)
-	e2 := NewEngine(EngineConfig{Shards: 2, Warmup: 1000, Store: store})
-	e2.RunSuite(builderFor("bimodal"), "bimodal", "cbp4", benches, 4000)
-	if st := e2.Stats(); st.CacheHits != 0 {
+	b := workload.CBP4()[0]
+	e := NewEngine(EngineConfig{Store: OpenStore(t.TempDir())})
+	item := ItemSpec{Config: "bimodal", Suite: "cbp4", Bench: b.Name, Seed: b.Seed,
+		Budget: 4000, Shard: 1, Shards: 2}
+	for _, warmup := range []int{500, 1000} {
+		item.Warmup = warmup
+		if _, err := e.RunItem(context.Background(), item); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.CacheHits != 0 {
 		t.Errorf("different warm-up length hit the cache: %+v", st)
 	}
 }

@@ -48,7 +48,7 @@ func TestRunItemMatchesLocalShard(t *testing.T) {
 	b := workload.CBP4()[0]
 	// The worker's own configuration is deliberately different from the
 	// item's geometry: geometry must come from the item.
-	worker := NewEngine(EngineConfig{Shards: 7, Warmup: 1})
+	worker := NewEngine(EngineConfig{Shards: 7})
 	item := ItemSpec{Config: "gshare", Suite: "cbp4", Bench: b.Name, Seed: b.Seed,
 		Budget: 9000, Shard: 1, Shards: 3, Warmup: 500}
 	res, err := worker.RunItem(context.Background(), item)

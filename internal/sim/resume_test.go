@@ -24,13 +24,13 @@ func TestResumeBitIdentical(t *testing.T) {
 	const small, large = 8000, 20000
 	for _, streamMem := range []int64{0, -1} {
 		dir := t.TempDir()
-		warm := NewEngine(EngineConfig{Snapshots: true, CacheDir: dir, StreamMemory: streamMem})
+		warm := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir, StreamMemory: streamMem})
 		warm.RunSuite(builderFor("tage-gsc+imli"), "tage-gsc+imli", "cbp4", benches, small)
 		if st := warm.Stats(); st.Resumed != 0 {
 			t.Fatalf("streamMem=%d: first run resumed from nothing: %+v", streamMem, st)
 		}
 
-		resumed := NewEngine(EngineConfig{Snapshots: true, CacheDir: dir, StreamMemory: streamMem})
+		resumed := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir, StreamMemory: streamMem})
 		got := resumed.RunSuite(builderFor("tage-gsc+imli"), "tage-gsc+imli", "cbp4", benches, large)
 		st := resumed.Stats()
 		if st.Resumed != uint64(len(benches)) {
@@ -58,10 +58,10 @@ func TestResumeBitIdentical(t *testing.T) {
 func TestResumeIgnoresLongerSnapshots(t *testing.T) {
 	benches := workload.CBP4()[:1]
 	dir := t.TempDir()
-	e1 := NewEngine(EngineConfig{Snapshots: true, CacheDir: dir})
+	e1 := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir})
 	e1.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 20000)
 
-	e2 := NewEngine(EngineConfig{Snapshots: true, CacheDir: dir})
+	e2 := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir})
 	got := e2.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 6000)
 	if st := e2.Stats(); st.Resumed != 0 {
 		t.Errorf("shorter run resumed from a longer snapshot: %+v", st)
@@ -88,7 +88,7 @@ func TestBudgetSweepResumeWork(t *testing.T) {
 	for _, budget := range budgets {
 		cold.RunSuite(builderFor(config), config, "cbp4", bench, budget)
 	}
-	resume := NewEngine(EngineConfig{Snapshots: true, CacheDir: t.TempDir()})
+	resume := NewEngine(EngineConfig{ExactShards: true, CacheDir: t.TempDir()})
 	for _, budget := range budgets {
 		resume.RunSuite(builderFor(config), config, "cbp4", bench, budget)
 	}
@@ -162,7 +162,7 @@ func TestExactShardsCachedAndChained(t *testing.T) {
 
 	// A longer unsharded run on the same store resumes from the exact
 	// chain's final snapshot (whose merged counters cover the prefix).
-	longer := NewEngine(EngineConfig{Snapshots: true, CacheDir: dir})
+	longer := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir})
 	got := longer.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 2*budget)
 	if st := longer.Stats(); st.Resumed != uint64(len(benches)) {
 		t.Errorf("longer run resumed %d of %d", st.Resumed, len(benches))
@@ -176,11 +176,66 @@ func TestExactShardsCachedAndChained(t *testing.T) {
 	}
 }
 
+// TestExactShardsStoreLayout: an ExactShards engine persists only
+// result entries and snapshots, under v<EngineVersion>/ — never its
+// streams — and a longer-budget rerun over that store resumes to a
+// cold run's counters, unsharded and chained alike.
+func TestExactShardsStoreLayout(t *testing.T) {
+	const config, budget = "gshare", 6000
+	benches := workload.CBP4()[:3]
+	cold := NewEngine(EngineConfig{}).RunSuite(builderFor(config), config, "cbp4", benches, 2*budget)
+	for _, shards := range []int{1, 4} {
+		dir := t.TempDir()
+		cfg := EngineConfig{Shards: shards, ExactShards: true, CacheDir: dir}
+		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, budget)
+
+		results, snaps := 0, 0
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, err := filepath.Rel(dir, path)
+			if err != nil {
+				return err
+			}
+			parts := strings.Split(filepath.ToSlash(rel), "/")
+			switch {
+			case parts[0] != versionDir(EngineVersion):
+				t.Errorf("shards=%d: %s lies outside %s/", shards, rel, versionDir(EngineVersion))
+			case len(parts) == 3 && strings.HasSuffix(rel, ".json"):
+				results++
+			case len(parts) == 4 && parts[1] == "snap" && strings.HasSuffix(rel, ".snap"):
+				snaps++
+			default:
+				t.Errorf("shards=%d: unexpected store file %s", shards, rel)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results != len(benches) || snaps < len(benches) {
+			t.Errorf("shards=%d: store holds %d results and %d snapshots, want %d and at least %d",
+				shards, results, snaps, len(benches), len(benches))
+		}
+
+		longer := NewEngine(cfg)
+		got := longer.RunSuite(builderFor(config), config, "cbp4", benches, 2*budget)
+		if st := longer.Stats(); st.Resumed == 0 {
+			t.Errorf("shards=%d: longer run resumed nothing: %+v", shards, st)
+		}
+		for i := range benches {
+			if got.Results[i] != cold.Results[i] {
+				t.Errorf("shards=%d %s: resumed %+v != cold %+v", shards, benches[i].Name, got.Results[i], cold.Results[i])
+			}
+		}
+	}
+}
+
 // TestResumeSkipsUndecodableSnapshot: a snapshot whose file framing is
 // valid but whose payload does not decode is a miss, and resume falls
-// back to the next shorter cached prefix — for a budget extension under
-// Snapshots and for an ExactShards chain whose final snapshot is
-// poisoned. The fallback still counts as a resume, and results stay
+// back to the next shorter cached prefix — for an unsharded budget
+// extension and for an exact chain whose final snapshot is poisoned. The fallback still counts as a resume, and results stay
 // those of a cold run. The poisoned file is quarantined to <path>.bad,
 // so the next run that reaches its position leaves a snapshot there
 // that decodes.
@@ -227,7 +282,7 @@ func TestResumeSkipsUndecodableSnapshot(t *testing.T) {
 
 	t.Run("snapshots", func(t *testing.T) {
 		dir := t.TempDir()
-		cfg := EngineConfig{Snapshots: true, CacheDir: dir}
+		cfg := EngineConfig{ExactShards: true, CacheDir: dir}
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 6000)
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 12000)
 		st := OpenStore(dir)

@@ -152,8 +152,9 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestStorePrune: entries from stale engine versions — results,
-// snapshots, spilled streams, and the pre-versioned flat layout — are
-// removed; current-version entries survive.
+// snapshots, and the pre-versioned flat layout — are removed, and so
+// are spilled streams of every version; current-version entries
+// survive.
 func TestStorePrune(t *testing.T) {
 	dir := t.TempDir()
 	s := OpenStore(dir)
@@ -188,7 +189,7 @@ func TestStorePrune(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "db", "users.sqlite"), []byte("precious"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Stream spills: one stale, one current.
+	// Stream spills left by older engines: no version reads them.
 	for _, v := range []int{EngineVersion - 1, EngineVersion} {
 		p := filepath.Join(dir, "streams", versionDir(v))
 		if err := os.MkdirAll(p, 0o755); err != nil {
@@ -203,8 +204,8 @@ func TestStorePrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Files != 3 || st.Dirs != 3 {
-		t.Errorf("prune stats = %+v, want 3 files in 3 dirs", st)
+	if st.Files != 4 || st.Dirs != 4 {
+		t.Errorf("prune stats = %+v, want 4 files in 4 dirs", st)
 	}
 	if st.Bytes == 0 {
 		t.Error("prune reported zero bytes removed")
@@ -215,13 +216,10 @@ func TestStorePrune(t *testing.T) {
 	if _, ok := s.LoadSnapshot(curSnap); !ok {
 		t.Error("current-version snapshot was pruned")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "streams", versionDir(EngineVersion), "s.imlt")); err != nil {
-		t.Error("current-version stream spill was pruned")
-	}
 	for _, gone := range []string{
 		filepath.Join(dir, versionDir(EngineVersion-1)),
 		filepath.Join(dir, legacyID[:2]),
-		filepath.Join(dir, "streams", versionDir(EngineVersion-1)),
+		filepath.Join(dir, "streams"),
 	} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Errorf("%s survived the prune", gone)

@@ -84,7 +84,6 @@ func (k Key) id() string { return hashJSON(k) }
 //	<dir>/v<N>/<id[:2]>/<id[2:]>.json   work-item results
 //	<dir>/v<N>/snap/<gid>/<pos>.snap    snapshots, grouped per
 //	                                    (config, suite, trace, seed)
-//	<dir>/streams/v<N>/                 spilled streams (see workload)
 type Store struct {
 	dir string
 }
@@ -302,18 +301,20 @@ type PruneStats struct {
 	Files int
 	Bytes int64
 	// Dirs counts the removed directory trees: stale v<k> version
-	// directories, stale streams/v<k> spill directories, and legacy
-	// flat fan-out directories from engine versions ≤ 2.
+	// directories, streams/v<k> spill directories, and legacy flat
+	// fan-out directories from engine versions ≤ 2.
 	Dirs int
 }
 
 // Prune deletes every cache entry written under an engine version
-// other than keep (results and snapshots under v<k>/, spilled streams
-// under streams/v<k>/, and entries from the pre-versioned flat layout
-// of engine versions ≤ 2). Without pruning, every EngineVersion bump
-// strands the previous version's entries on disk forever. Callers
-// pass EngineVersion. Concurrent engines writing the current version
-// are unaffected: only non-current version directories are touched.
+// other than keep (results and snapshots under v<k>/, and entries from
+// the pre-versioned flat layout of engine versions ≤ 2), and every
+// stream spill under streams/v<k>/, the current version's included:
+// engine versions ≤ 4 wrote them and no engine reads them. Without
+// pruning, every EngineVersion bump strands the previous version's
+// entries on disk forever. Callers pass EngineVersion. Concurrent
+// engines are unaffected: Prune never touches the v<keep>/ tree they
+// write.
 func (s *Store) Prune(keep int) (PruneStats, error) {
 	var st PruneStats
 	if s.dir == "" {
@@ -344,15 +345,19 @@ func (s *Store) Prune(keep int) (PruneStats, error) {
 		name := e.Name()
 		switch {
 		case name == "streams" && e.IsDir():
-			subs, err := os.ReadDir(filepath.Join(s.dir, "streams"))
+			streams := filepath.Join(s.dir, name)
+			subs, err := os.ReadDir(streams)
 			if err != nil {
 				continue
 			}
 			for _, sub := range subs {
-				if sub.IsDir() && isStaleVersionDir(sub.Name(), keepName) {
-					rm(filepath.Join(s.dir, "streams", sub.Name()))
+				// Only v<digits> directories are ours: unrelated content
+				// in a shared cache dir survives, and so does streams/.
+				if sub.IsDir() && isStaleVersionDir(sub.Name(), "") {
+					rm(filepath.Join(streams, sub.Name()))
 				}
 			}
+			_ = os.Remove(streams) // fails, harmlessly, unless empty
 		case e.IsDir() && isStaleVersionDir(name, keepName):
 			rm(filepath.Join(s.dir, name))
 		case e.IsDir() && isLegacyFanout(name) && isLegacyFanoutDir(filepath.Join(s.dir, name)):
@@ -368,7 +373,7 @@ func (s *Store) Prune(keep int) (PruneStats, error) {
 }
 
 // isStaleVersionDir reports whether name is a v<digits> directory
-// other than the current one.
+// other than the current one (every one when keepName is empty).
 func isStaleVersionDir(name, keepName string) bool {
 	if name == keepName || len(name) < 2 || name[0] != 'v' {
 		return false

@@ -2,11 +2,6 @@ package workload
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/trace"
@@ -18,11 +13,6 @@ import (
 // handed out as a read-only []trace.Record slice, so the simulation
 // engine's shards — and every configuration of a batch run sharing the
 // cache — stop paying O(shards × budget) regeneration work.
-
-// streamFormatVersion participates in every spill-file name. Bump it
-// whenever generator semantics change so stale spilled streams can
-// never be loaded.
-const streamFormatVersion = 1
 
 // DefaultStreamMemory is the resident-byte bound a zero-configured
 // StreamCache uses. At ~24 bytes per record it holds dozens of
@@ -75,9 +65,6 @@ type StreamStats struct {
 	Generated uint64
 	// Hits is the number of Gets served from a resident stream.
 	Hits uint64
-	// SpillLoads is the number of streams reloaded from the on-disk
-	// spill instead of regenerated.
-	SpillLoads uint64
 	// ResidentBytes and ResidentStreams describe what the LRU holds.
 	ResidentBytes   int64
 	ResidentStreams int
@@ -86,38 +73,33 @@ type StreamStats struct {
 // StreamCache materializes benchmark streams once and bounds their
 // resident memory with an LRU. A cache is safe for concurrent use;
 // concurrent Gets of the same stream generate it exactly once (the
-// losers block until the winner finishes). When spillDir is set,
-// generated streams are also written to disk in the internal/trace
-// binary format, so a later cache (or process) reloads them instead of
-// regenerating.
+// losers block until the winner finishes). Streams live only in
+// memory: regenerating one is faster than reading it back from disk
+// (DESIGN.md §6).
 type StreamCache struct {
 	maxBytes int64
-	spillDir string
 
 	mu      sync.Mutex
 	entries map[streamKey]*streamEntry
 	order   *list.List // front = most recently used
 	bytes   int64
 
-	generated  uint64
-	hits       uint64
-	spillLoads uint64
+	generated uint64
+	hits      uint64
 }
 
 // NewStreamCache returns a cache bounded at maxBytes of resident
 // stream memory (0 means DefaultStreamMemory). The bound is honoured
 // by evicting least-recently-used streams on insert; streams still
 // referenced by in-flight simulations stay alive until those
-// simulations drop them. spillDir, when non-empty, enables the
-// on-disk spill (created lazily; unwritable directories degrade to
-// regeneration).
+// simulations drop them. spillDir is ignored (streams are never
+// written to disk); it stays in the signature for existing callers.
 func NewStreamCache(maxBytes int64, spillDir string) *StreamCache {
 	if maxBytes == 0 {
 		maxBytes = DefaultStreamMemory
 	}
 	return &StreamCache{
 		maxBytes: maxBytes,
-		spillDir: spillDir,
 		entries:  map[streamKey]*streamEntry{},
 		order:    list.New(),
 	}
@@ -130,16 +112,15 @@ func (c *StreamCache) Stats() StreamStats {
 	return StreamStats{
 		Generated:       c.generated,
 		Hits:            c.hits,
-		SpillLoads:      c.spillLoads,
 		ResidentBytes:   c.bytes,
 		ResidentStreams: c.order.Len(),
 	}
 }
 
 // Get returns the materialized stream of b at the given budget,
-// generating (or spill-loading) it on first use. It returns nil when
-// the stream alone would exceed the cache's memory bound — callers
-// must then fall back to streaming generation.
+// generating it on first use. It returns nil when the stream alone
+// would exceed the cache's memory bound — callers must then fall back
+// to streaming generation.
 func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 	if budget <= 0 {
 		return nil
@@ -165,25 +146,18 @@ func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	st, spilled := c.load(key)
-	if st == nil {
-		recs := make([]trace.Record, 0, budget+64)
-		b.Generate(budget, func(r trace.Record) { recs = append(recs, r) })
-		if cap(recs) > len(recs)+64 {
-			// A large final episode forced the buffer to double; trim
-			// so resident accounting reflects what is actually held.
-			recs = append(make([]trace.Record, 0, len(recs)), recs...)
-		}
-		st = &Stream{name: b.Name, recs: recs}
+	recs := make([]trace.Record, 0, budget+64)
+	b.Generate(budget, func(r trace.Record) { recs = append(recs, r) })
+	if cap(recs) > len(recs)+64 {
+		// A large final episode forced the buffer to double; trim so
+		// resident accounting reflects what is actually held.
+		recs = append(make([]trace.Record, 0, len(recs)), recs...)
 	}
+	st := &Stream{name: b.Name, recs: recs}
 
 	c.mu.Lock()
 	e.stream = st
-	if spilled {
-		c.spillLoads++
-	} else {
-		c.generated++
-	}
+	c.generated++
 	if st.Bytes() > c.maxBytes {
 		// Generation overshoots the budget at episode granularity, so
 		// a stream can come out larger than the pre-generation
@@ -197,11 +171,6 @@ func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	if !spilled {
-		// Spill after publishing: the stream is immutable, and waiting
-		// shards must not block on the disk write.
-		c.spill(key, st)
-	}
 	return st
 }
 
@@ -220,81 +189,5 @@ func (c *StreamCache) evictLocked(keep *streamEntry) {
 		e.elem = nil
 		c.bytes -= e.stream.Bytes()
 		delete(c.entries, e.key)
-	}
-}
-
-// spillPath names the on-disk form of a stream: a hash of the key and
-// the format version, so generator changes orphan (never corrupt) old
-// files.
-func (c *StreamCache) spillPath(key streamKey) string {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], streamFormatVersion)
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], key.seed)
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(key.budget))
-	h.Write(buf[:])
-	h.Write([]byte(key.name))
-	return filepath.Join(c.spillDir, hex.EncodeToString(h.Sum(nil)[:16])+".imlt")
-}
-
-// load reloads a previously spilled stream. Any failure — missing
-// file, codec error, name mismatch, short stream — reads as a miss.
-func (c *StreamCache) load(key streamKey) (*Stream, bool) {
-	if c.spillDir == "" {
-		return nil, false
-	}
-	f, err := os.Open(c.spillPath(key))
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil || r.Name() != key.name {
-		return nil, false
-	}
-	recs, err := r.ReadAll()
-	if err != nil || len(recs) < key.budget {
-		return nil, false
-	}
-	if cap(recs) > len(recs)+64 {
-		// ReadAll grows by doubling; trim like the generation path so
-		// resident accounting reflects what is actually held.
-		recs = append(make([]trace.Record, 0, len(recs)), recs...)
-	}
-	return &Stream{name: key.name, recs: recs}, true
-}
-
-// spill writes a stream to disk, best-effort (atomically: temp file +
-// rename, so concurrent caches sharing the directory are safe). A
-// full disk or unwritable directory simply leaves the stream unspilled.
-func (c *StreamCache) spill(key streamKey, st *Stream) {
-	if c.spillDir == "" {
-		return
-	}
-	if os.MkdirAll(c.spillDir, 0o755) != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(c.spillDir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	w, err := trace.NewWriter(tmp, st.name)
-	if err == nil {
-		for _, r := range st.recs {
-			if err = w.Write(r); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = w.Flush()
-		}
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil || os.Rename(tmp.Name(), c.spillPath(key)) != nil {
-		os.Remove(tmp.Name())
 	}
 }

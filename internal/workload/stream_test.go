@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -174,94 +171,5 @@ func TestStreamOvershootNotKeptResidentPastBound(t *testing.T) {
 	if got := c.Stats(); got.ResidentBytes > maxBytes {
 		t.Errorf("resident bytes %d exceed bound %d after oversized materialization",
 			got.ResidentBytes, maxBytes)
-	}
-}
-
-func TestStreamSpillRoundTrip(t *testing.T) {
-	b := mustBench(t, "WS04")
-	dir := t.TempDir()
-	const budget = 2500
-
-	c1 := NewStreamCache(0, dir)
-	st1 := c1.Get(b, budget)
-	if st1 == nil {
-		t.Fatal("no stream")
-	}
-	if c1.Stats().Generated != 1 {
-		t.Fatalf("first cache stats = %+v", c1.Stats())
-	}
-
-	// A fresh cache over the same spill directory must reload from
-	// disk — zero generator invocations — and reproduce the records
-	// exactly (the trace codec is lossless).
-	c2 := NewStreamCache(0, dir)
-	st2 := c2.Get(b, budget)
-	if st2 == nil {
-		t.Fatal("no stream from spill")
-	}
-	st := c2.Stats()
-	if st.Generated != 0 || st.SpillLoads != 1 {
-		t.Fatalf("second cache stats = %+v, want a pure spill load", st)
-	}
-	if len(st1.Records()) != len(st2.Records()) {
-		t.Fatalf("spill round-trip length %d vs %d", len(st2.Records()), len(st1.Records()))
-	}
-	for i := range st1.Records() {
-		if st1.Records()[i] != st2.Records()[i] {
-			t.Fatalf("record %d corrupted by spill round-trip", i)
-		}
-	}
-	// Spill files must be atomic: no temp litter.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Errorf("stranded temp file %s in spill dir", e.Name())
-		}
-	}
-}
-
-func TestStreamSpillCorruptFallsBackToGeneration(t *testing.T) {
-	b := mustBench(t, "MM-4")
-	dir := t.TempDir()
-	const budget = 1200
-
-	c1 := NewStreamCache(0, dir)
-	c1.Get(b, budget)
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("spill dir entries = %v (%v)", ents, err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ents[0].Name()), []byte("IMLTgarbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := NewStreamCache(0, dir)
-	st := c2.Get(b, budget)
-	if st == nil {
-		t.Fatal("no stream")
-	}
-	if s := c2.Stats(); s.Generated != 1 || s.SpillLoads != 0 {
-		t.Errorf("corrupt spill stats = %+v, want regeneration", s)
-	}
-	if len(st.Records()) < budget {
-		t.Errorf("regenerated stream short: %d < %d", len(st.Records()), budget)
-	}
-}
-
-func TestStreamUnwritableSpillDegrades(t *testing.T) {
-	b := mustBench(t, "MM-4")
-	// A file where the spill directory should be: MkdirAll fails, the
-	// stream must still materialize.
-	dir := t.TempDir()
-	blocked := filepath.Join(dir, "not-a-dir")
-	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewStreamCache(0, blocked)
-	if st := c.Get(b, 800); st == nil {
-		t.Fatal("unwritable spill dir blocked materialization")
 	}
 }
