@@ -48,9 +48,8 @@ const (
 	// the service-side equivalent of `imlisim -predictor=C -suite=S`.
 	JobSuite JobType = "suite"
 	// JobBench runs one predictor configuration over a single
-	// benchmark through the engine (the path `imlisim -all-configs
-	// -bench=B` uses; identical to plain `imlisim -bench=B` when the
-	// engine is unsharded).
+	// benchmark through the engine — the service-side equivalent of
+	// `imlisim -predictor=C -bench=B`.
 	JobBench JobType = "bench"
 	// JobExperiment reproduces one paper artifact by experiment ID —
 	// the service-side equivalent of `imlibench -exp=ID`.

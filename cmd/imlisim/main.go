@@ -1,21 +1,19 @@
 // Command imlisim runs predictor configurations over synthetic
-// benchmarks or on-disk traces and reports MPKI. Suite runs go through
-// the sharded parallel engine: -parallel bounds the worker pool,
-// -shards splits each benchmark into independent work items, and
-// -cache-dir makes repeated runs incremental via the on-disk result
-// store. Each benchmark's record stream is materialized once per run
-// and shared across shards and configurations; -stream-mem bounds the
-// resident memory of those streams. -exact-shards turns on the
-// snapshot layer: with -cache-dir, full predictor state is persisted
-// at run boundaries so a later, longer-budget run of the same
-// configuration resumes from the cached prefix instead of record 0,
-// and sharded runs chain snapshots across shard boundaries so their
-// results are bit-identical to unsharded runs; -cache-prune deletes
-// entries stranded by engine-version bumps.
-// -workers=N runs the suite through a loopback coordinator queue
-// served by N local worker processes-in-miniature (DESIGN.md §14) —
-// the same wire path a distributed imlid fleet uses, with
-// bit-identical results.
+// benchmarks or on-disk traces and reports MPKI. Suite and benchmark
+// runs go through the sharded parallel engine: -parallel bounds the
+// worker pool, -shards splits each benchmark into independent work
+// items, and -cache-dir makes repeated runs incremental via the
+// on-disk result store. Each benchmark's record stream is materialized
+// once per run and shared across shards and configurations;
+// -stream-mem bounds the resident memory of those streams.
+// -exact-shards turns on the snapshot layer: with -cache-dir, full
+// predictor state is persisted at run boundaries so a later,
+// longer-budget run of the same configuration resumes from the cached
+// prefix instead of record 0, and sharded runs chain snapshots across
+// shard boundaries so their results are bit-identical to unsharded
+// runs; -cache-prune deletes entries stranded by engine-version bumps.
+// A fleet of worker processes is imlid -coordinator plus
+// cmd/imliworker (DESIGN.md §14).
 //
 // Usage:
 //
@@ -25,7 +23,6 @@
 //	imlisim -suite=cbp4 -all-configs -shards=4 -cache-dir=.imli-cache
 //	imlisim -suite=cbp4 -branches=200000 -exact-shards -cache-dir=.imli-cache
 //	imlisim -predictor=tage-gsc -suite=cbp4 -seeds=5   # mean ± 95% CI per trace
-//	imlisim -predictor=tage-gsc -suite=cbp4 -workers=4 # loopback worker cluster
 //	imlisim -cache-dir=.imli-cache -cache-prune
 //	imlisim -predictors            # list configurations
 package main
@@ -40,7 +37,6 @@ import (
 
 	"repro/internal/btb"
 	"repro/internal/cliflags"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/predictor"
 	"repro/internal/sim"
@@ -65,7 +61,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	traceFile := fs.String("trace", "", "run an on-disk trace file")
 	branches := fs.Int("branches", 250000, "branch records per synthetic trace")
 	eng := cliflags.Register(fs)
-	workers := cliflags.RegisterWorkers(fs)
 	seeds := cliflags.RegisterSeeds(fs)
 	cachePrune := fs.Bool("cache-prune", false, "delete cache entries from stale engine versions under -cache-dir, then exit (unless a run is requested)")
 	allConfigs := fs.Bool("all-configs", false, "batch mode: run every registry configuration over -suite or -bench")
@@ -94,15 +89,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	seedList, err := cliflags.SeedList(*seeds)
 	if err != nil {
 		return err
-	}
-	if err := cliflags.ValidateWorkers(*workers); err != nil {
-		return err
-	}
-	if *workers > 0 && *suite == "" && !*allConfigs {
-		// Only the engine suite paths dispatch work items; -trace and a
-		// single -bench run outside the engine, where a worker cluster
-		// would be silently ignored.
-		return fmt.Errorf("-workers applies to engine suite runs (-suite or -all-configs)")
 	}
 	if len(seedList) > 0 {
 		// A seed sweep reruns the deterministic synthetic streams under
@@ -133,6 +119,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
+	engine := sim.NewEngine(eng.Config())
 	switch {
 	case *listPredictors:
 		names := predictor.Names()
@@ -150,11 +137,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if *traceFile != "" {
 			return fmt.Errorf("-all-configs works on -suite or -bench, not -trace")
 		}
-		engine, done, err := dist.NewEngine(eng.Config(), *workers)
-		if err != nil {
-			return err
-		}
-		defer done()
 		return runAllConfigs(stdout, engine, *suite, *bench, *branches)
 	case *traceFile != "":
 		return runTraceFile(stdout, *config, *traceFile)
@@ -163,14 +145,13 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if len(seedList) > 0 {
-			return runBenchSweep(stdout, *config, b, *branches, seedList)
-		}
-		res, err := sim.RunBenchmark(*config, b, *branches)
-		if err != nil {
+		if err := predictor.Check(*config); err != nil {
 			return err
 		}
-		printResult(stdout, res)
+		if len(seedList) > 0 {
+			return runBenchSweep(stdout, engine, *config, b, *branches, seedList)
+		}
+		printResult(stdout, runConfig(engine, *config, b.Suite, []workload.Benchmark{b}, *branches).Results[0])
 		if *targets {
 			tr := sim.RunTargets(btb.New(btb.DefaultConfig()), b, *branches)
 			fmt.Fprintf(stdout, "targets: %.2f%% of taken transfers missed; RAS %d/%d correct; "+
@@ -187,16 +168,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if err := predictor.Check(*config); err != nil {
 			return err
 		}
-		engine, done, err := dist.NewEngine(eng.Config(), *workers)
-		if err != nil {
-			return err
-		}
-		defer done()
 		if len(seedList) > 0 {
 			return runSuiteSweep(stdout, engine, *config, *suite, benches, *branches, seedList)
 		}
-		run := engine.RunSuite(func() predictor.Predictor { return predictor.MustNew(*config) },
-			*config, *suite, benches, *branches)
+		run := runConfig(engine, *config, *suite, benches, *branches)
 		for _, res := range run.Results {
 			printResult(stdout, res)
 		}
@@ -206,6 +181,14 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("nothing to do: pass -suite, -bench, -trace, or a list flag")
 	}
+}
+
+// runConfig runs one registry configuration over benches on engine;
+// scope is the suite name the run is keyed by (a single benchmark's
+// home suite for -bench).
+func runConfig(engine *sim.Engine, config, scope string, benches []workload.Benchmark, branches int) sim.SuiteRun {
+	return engine.RunSuite(func() predictor.Predictor { return predictor.MustNew(config) },
+		config, scope, benches, branches)
 }
 
 // runAllConfigs sweeps every registry configuration over a suite (or a
@@ -240,10 +223,8 @@ func runAllConfigs(w io.Writer, engine *sim.Engine, suite, bench string, branche
 	}
 	rows := make([]row, 0, len(names))
 	for _, name := range names {
-		cfg := name
-		run := engine.RunSuite(func() predictor.Predictor { return predictor.MustNew(cfg) },
-			cfg, scope, benches, branches)
-		rows = append(rows, row{name: cfg, kbits: predictor.MustNew(cfg).StorageBits() / 1024, run: run})
+		run := runConfig(engine, name, scope, benches, branches)
+		rows = append(rows, row{name: name, kbits: predictor.MustNew(name).StorageBits() / 1024, run: run})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].run.AvgMPKI() < rows[j].run.AvgMPKI() })
 	fmt.Fprintf(w, "%-22s %10s %10s %s\n", "predictor", "Kbits", "avg MPKI", "cache")
@@ -262,8 +243,7 @@ func runAllConfigs(w io.Writer, engine *sim.Engine, suite, bench string, branche
 func runSuiteSweep(w io.Writer, engine *sim.Engine, config, suite string, benches []workload.Benchmark, branches int, seeds []int64) error {
 	runs := make([]sim.SuiteRun, len(seeds))
 	for i, s := range seeds {
-		runs[i] = engine.RunSuite(func() predictor.Predictor { return predictor.MustNew(config) },
-			config, suite, workload.Reseed(benches, s), branches)
+		runs[i] = runConfig(engine, config, suite, workload.Reseed(benches, s), branches)
 	}
 	t := &stats.Table{Header: []string{"trace", fmt.Sprintf("MPKI mean ± %.0f%% CI", stats.DefaultConfidence*100), "stddev"}}
 	for bi := range benches {
@@ -285,16 +265,13 @@ func runSuiteSweep(w io.Writer, engine *sim.Engine, config, suite string, benche
 	return nil
 }
 
-// runBenchSweep sweeps a single benchmark across stream seeds and
-// prints the distributional summary line.
-func runBenchSweep(w io.Writer, config string, b workload.Benchmark, branches int, seeds []int64) error {
+// runBenchSweep sweeps a single benchmark across stream seeds on the
+// engine and prints the distributional summary line.
+func runBenchSweep(w io.Writer, engine *sim.Engine, config string, b workload.Benchmark, branches int, seeds []int64) error {
 	xs := make([]float64, 0, len(seeds))
 	for _, s := range seeds {
-		res, err := sim.RunBenchmark(config, b.Reseeded(s), branches)
-		if err != nil {
-			return err
-		}
-		xs = append(xs, res.MPKI())
+		run := runConfig(engine, config, b.Suite, []workload.Benchmark{b.Reseeded(s)}, branches)
+		xs = append(xs, run.Results[0].MPKI())
 	}
 	sum := stats.Summarize(xs, stats.DefaultConfidence)
 	fmt.Fprintf(w, "%-14s %-12s %d seeds: %s MPKI (stddev %.3f)\n",

@@ -223,18 +223,36 @@ func TestRunSuiteStreamMemFlag(t *testing.T) {
 	}
 }
 
-func TestRunSuiteWorkersMatchesInProcess(t *testing.T) {
-	// -workers routes the suite through a loopback worker cluster; the
-	// printed results must be byte-identical to the in-process run.
-	args := []string{"-predictor=gshare", "-suite=cbp4", "-branches=3000", "-shards=2"}
-	var local, cluster strings.Builder
-	if err := run(args, &local, io.Discard); err != nil {
+func TestRunBenchUsesEngineFlags(t *testing.T) {
+	// A single -bench runs on the engine the flags describe: sharded, it
+	// prints exactly its line of the sharded suite run, and with
+	// -cache-dir it stores its results.
+	var bench, suite strings.Builder
+	if err := run([]string{"-predictor=gshare", "-bench=MM-4", "-branches=2000", "-shards=2"},
+		&bench, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-workers=2"), &cluster, io.Discard); err != nil {
+	if err := run([]string{"-predictor=gshare", "-suite=cbp4", "-branches=2000", "-shards=2"},
+		&suite, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if local.String() != cluster.String() {
-		t.Errorf("-workers=2 output differs from the in-process run:\n%s\nvs\n%s", cluster.String(), local.String())
+	var want string
+	for _, line := range strings.SplitAfter(suite.String(), "\n") {
+		if strings.Contains(line, "MM-4 ") {
+			want = line
+		}
+	}
+	if want == "" || bench.String() != want {
+		t.Errorf("-bench=MM-4 -shards=2 printed %q, want the suite run's line %q", bench.String(), want)
+	}
+
+	dir := filepath.Join(t.TempDir(), "cache")
+	if err := run([]string{"-predictor=gshare", "-bench=MM-4", "-branches=2000", "-cache-dir=" + dir},
+		io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	results, err := filepath.Glob(filepath.Join(dir, "v*", "*", "*.json"))
+	if err != nil || len(results) == 0 {
+		t.Errorf("-bench -cache-dir stored no results under %s (%v)", dir, err)
 	}
 }

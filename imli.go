@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/btb"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/predictor"
 	"repro/internal/serve"
@@ -123,11 +122,9 @@ func Simulate(p Predictor, b Benchmark, budget int) Result {
 type Option func(*engineOptions)
 
 type engineOptions struct {
-	cfg        sim.EngineConfig
-	workers    int
-	workersSet bool
-	seeds      []int64
-	progress   io.Writer
+	cfg      sim.EngineConfig
+	seeds    []int64
+	progress io.Writer
 }
 
 // WithParallel bounds concurrent shard simulations (default:
@@ -165,17 +162,6 @@ func WithStreamCache(maxBytes int64) Option {
 // serializing each benchmark's shards on one worker.
 func WithExactSharding(on bool) Option { return func(o *engineOptions) { o.cfg.ExactShards = on } }
 
-// WithWorkers distributes the run over n in-process workers pulling
-// work items from a loopback coordinator queue (DESIGN.md §14) — the
-// one-machine form of the multi-node imlid deployment (imlid
-// -coordinator plus cmd/imliworker fleets). Results are bit-identical
-// to in-process execution: work items are values, simulation is
-// deterministic, and remote results merge through the same
-// content-addressed store keys. n must be at least 1.
-func WithWorkers(n int) Option {
-	return func(o *engineOptions) { o.workers, o.workersSet = n, true }
-}
-
 // WithSeeds fans experiment simulations out over stream-seed variants
 // (DESIGN.md §10): seed 0 is the base stream every single-seed run
 // reports, other values deterministically remix each benchmark's seed.
@@ -191,15 +177,12 @@ func WithSeeds(seeds ...int64) Option {
 // accounting) to w while an experiment runs.
 func WithProgress(w io.Writer) Option { return func(o *engineOptions) { o.progress = w } }
 
-func applyOptions(opts []Option) (engineOptions, error) {
+func applyOptions(opts []Option) engineOptions {
 	var o engineOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.workersSet && o.workers < 1 {
-		return o, fmt.Errorf("imli: WithWorkers needs at least one worker, got %d", o.workers)
-	}
-	return o, nil
+	return o
 }
 
 // SimulateSuite runs a registry configuration over a whole suite
@@ -213,15 +196,7 @@ func SimulateSuite(config, suite string, budget int, opts ...Option) (SuiteRun, 
 	if err := predictor.Check(config); err != nil {
 		return SuiteRun{}, err
 	}
-	o, err := applyOptions(opts)
-	if err != nil {
-		return SuiteRun{}, err
-	}
-	engine, stop, err := dist.NewEngine(o.cfg, o.workers)
-	if err != nil {
-		return SuiteRun{}, err
-	}
-	defer stop()
+	engine := sim.NewEngine(applyOptions(opts).cfg)
 	builder := func() Predictor { return predictor.MustNew(config) }
 	return engine.RunSuite(builder, config, suite, benches, budget), nil
 }
@@ -285,20 +260,11 @@ type ServiceConfig struct {
 
 // NewService returns a running evaluation service backed by an engine
 // built from the usual engine options. The caller owns its lifecycle:
-// serve its Handler, and stop it with Drain. WithWorkers is not an
-// engine option here — a multi-machine service is imlid -coordinator
-// (its engine dispatches to a worker-pull queue served under
-// /v1/work/; see DESIGN.md §14), so the option reports an error.
+// serve its Handler, and stop it with Drain. A multi-machine service is
+// imlid -coordinator with a cmd/imliworker fleet (DESIGN.md §14).
 func NewService(cfg ServiceConfig, opts ...Option) (*Service, error) {
-	o, err := applyOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if o.workersSet {
-		return nil, fmt.Errorf("imli: NewService does not take WithWorkers; run the service as a coordinator (imlid -coordinator) with a worker fleet instead")
-	}
 	return serve.NewServer(serve.Config{
-		Engine:        sim.NewEngine(o.cfg),
+		Engine:        sim.NewEngine(applyOptions(opts).cfg),
 		JobWorkers:    cfg.JobWorkers,
 		QueueDepth:    cfg.QueueDepth,
 		DefaultBudget: cfg.DefaultBudget,
@@ -325,20 +291,12 @@ func RunExperiment(id string, budget int, opts ...Option) (ExperimentReport, err
 	if err != nil {
 		return ExperimentReport{}, err
 	}
-	o, err := applyOptions(opts)
-	if err != nil {
-		return ExperimentReport{}, err
-	}
+	o := applyOptions(opts)
 	if err := experiments.CheckSeeds(o.seeds); err != nil {
 		return ExperimentReport{}, err
 	}
-	engine, stop, err := dist.NewEngine(o.cfg, o.workers)
-	if err != nil {
-		return ExperimentReport{}, err
-	}
-	defer stop()
 	r := experiments.NewRunner(experiments.Params{
-		Budget: budget, Engine: engine, Seeds: o.seeds, Progress: o.progress,
+		Budget: budget, Engine: sim.NewEngine(o.cfg), Seeds: o.seeds, Progress: o.progress,
 	})
 	return e.Run(r), nil
 }

@@ -1,10 +1,13 @@
 package imli_test
 
 import (
+	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	imli "repro"
+	"repro/client"
 )
 
 func TestFacadePredictors(t *testing.T) {
@@ -210,48 +213,39 @@ func TestFacadeExperimentOptions(t *testing.T) {
 	}
 }
 
-func TestFacadeWorkersBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	ref, err := imli.SimulateSuite("gshare", "cbp4", 4000, imli.WithShards(2))
+// TestFacadeService serves NewService over HTTP and runs one suite job
+// through the client: every trace's counters equal SimulateSuite's at
+// the same engine options.
+func TestFacadeService(t *testing.T) {
+	opts := []imli.Option{imli.WithShards(2)}
+	svc, err := imli.NewService(imli.ServiceConfig{}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := imli.SimulateSuite("gshare", "cbp4", 4000, imli.WithShards(2), imli.WithWorkers(2))
+	hs := httptest.NewServer(svc.Handler())
+	defer hs.Close()
+	ctx := context.Background()
+
+	res, err := client.New(hs.URL).Run(ctx,
+		client.Spec{Type: client.JobSuite, Config: "gshare", Suite: "cbp4", Budget: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref.Results {
-		if run.Results[i] != ref.Results[i] {
-			t.Errorf("%s: distributed result differs from in-process", ref.Results[i].Trace)
+	ref, err := imli.SimulateSuite("gshare", "cbp4", 2000, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Suite == nil || len(res.Suite.Results) != len(ref.Results) {
+		t.Fatalf("service result %+v, want %d traces", res.Suite, len(ref.Results))
+	}
+	for i, got := range res.Suite.Results {
+		want := ref.Results[i]
+		if got.Trace != want.Trace || got.Instructions != want.Instructions || got.Records != want.Records ||
+			got.Conditionals != want.Conditionals || got.Mispredicted != want.Mispredicted {
+			t.Errorf("%s: service %+v, SimulateSuite %+v", want.Trace, got, want)
 		}
 	}
-
-	if _, err := imli.SimulateSuite("gshare", "cbp4", 4000, imli.WithWorkers(0)); err == nil {
-		t.Error("WithWorkers(0) accepted")
-	}
-	if _, err := imli.RunExperiment("e1", 2000, imli.WithWorkers(-1)); err == nil {
-		t.Error("RunExperiment WithWorkers(-1) accepted")
-	}
-	if _, err := imli.NewService(imli.ServiceConfig{}, imli.WithWorkers(2)); err == nil {
-		t.Error("NewService WithWorkers accepted")
-	}
-}
-
-func TestFacadeExperimentWithWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	ref, err := imli.RunExperiment("e1", 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := imli.RunExperiment("e1", 2000, imli.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Text != ref.Text {
-		t.Error("distributed experiment report differs from in-process run")
+	if err := svc.Drain(ctx); err != nil {
+		t.Errorf("Drain: %v", err)
 	}
 }

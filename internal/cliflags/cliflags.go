@@ -83,13 +83,10 @@ func PositiveDuration(name string, v time.Duration) error {
 }
 
 // Config maps the parsed flags onto an engine configuration,
-// converting -stream-mem from MiB; a negative value, which disables
-// materialization, maps to -1.
+// converting -stream-mem from MiB (a negative value stays negative,
+// which disables materialization).
 func (e *Engine) Config() sim.EngineConfig {
 	cfg := e.EngineConfig
 	cfg.StreamMemory = int64(e.StreamMemMiB) << 20
-	if e.StreamMemMiB < 0 {
-		cfg.StreamMemory = -1
-	}
 	return cfg
 }

@@ -7,25 +7,21 @@ import (
 	"time"
 )
 
-func parseDist(t *testing.T, args ...string) (*Dist, int) {
+func parseDist(t *testing.T, args ...string) *Dist {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Register(fs)
 	d := RegisterDist(fs)
-	workers := RegisterWorkers(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return d, *workers
+	return d
 }
 
 func TestDistDefaultsValidate(t *testing.T) {
-	d, workers := parseDist(t)
+	d := parseDist(t)
 	if err := d.Validate(); err != nil {
 		t.Errorf("default flags rejected: %v", err)
-	}
-	if err := ValidateWorkers(workers); err != nil {
-		t.Errorf("default -workers rejected: %v", err)
 	}
 	if d.LeaseTTL != 30*time.Second {
 		t.Errorf("default -lease-ttl = %s", d.LeaseTTL)
@@ -33,7 +29,7 @@ func TestDistDefaultsValidate(t *testing.T) {
 }
 
 func TestLeaseTTLMustBePositive(t *testing.T) {
-	d, _ := parseDist(t, "-coordinator", "-lease-ttl", "-1s")
+	d := parseDist(t, "-coordinator", "-lease-ttl", "-1s")
 	err := d.Validate()
 	if err == nil || !strings.Contains(err.Error(), "lease-ttl") {
 		t.Errorf("Validate = %v, want -lease-ttl error", err)
@@ -62,18 +58,6 @@ func TestParseWorkerURL(t *testing.T) {
 		} else if err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Errorf("ParseWorkerURL(%q) err = %v, want mention of %q", tc.raw, err, tc.msg)
 		}
-	}
-}
-
-func TestValidateWorkers(t *testing.T) {
-	if err := ValidateWorkers(-1); err == nil {
-		t.Error("negative -workers accepted")
-	}
-	if err := ValidateWorkers(3); err != nil {
-		t.Errorf("ValidateWorkers(3) = %v", err)
-	}
-	if err := ValidateWorkers(0); err != nil {
-		t.Errorf("ValidateWorkers(0) = %v", err)
 	}
 }
 

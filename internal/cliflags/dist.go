@@ -11,8 +11,7 @@ import (
 // Dist holds the parsed values of imlid's distributed-mode flags
 // (DESIGN.md §14): with -coordinator its engine dispatches work items
 // to a worker-pull queue under /v1/work/, which cmd/imliworker fleet
-// members lease from. The suite tools spin up an in-process local
-// cluster with -workers instead.
+// members lease from.
 type Dist struct {
 	// Coordinator is -coordinator: expose the engine's work items as a
 	// worker-pull queue instead of simulating them in-process.
@@ -22,8 +21,7 @@ type Dist struct {
 	LeaseTTL time.Duration
 }
 
-// RegisterDist adds the distributed-mode flags (imlid only; the suite
-// tools use RegisterWorkers instead).
+// RegisterDist adds the distributed-mode flags (imlid only).
 func RegisterDist(fs *flag.FlagSet) *Dist {
 	d := &Dist{}
 	fs.BoolVar(&d.Coordinator, "coordinator", false,
@@ -57,20 +55,4 @@ func ParseWorkerURL(raw string) (string, error) {
 		return "", fmt.Errorf("coordinator URL %q: missing host", raw)
 	}
 	return strings.TrimRight(raw, "/"), nil
-}
-
-// RegisterWorkers adds the -workers flag the suite tools take: a
-// local in-process worker cluster behind the engine, the one-machine
-// form of the coordinator/worker split. Opt-in like RegisterSeeds.
-func RegisterWorkers(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0,
-		"distribute work items to this many in-process workers over the loopback worker-pull queue (0 = run in-process; DESIGN.md §14)")
-}
-
-// ValidateWorkers checks a parsed -workers count.
-func ValidateWorkers(workers int) error {
-	if workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", workers)
-	}
-	return nil
 }

@@ -169,46 +169,3 @@ func TestStartLocalRejectsZeroWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestNewEngineSharesStreams: the loopback cluster NewEngine wires
-// shares one stream cache between the coordinating engine and its
-// workers, so a suite run generates each benchmark's stream exactly
-// once however its shards spread over the workers, and the results
-// equal the in-process engine's.
-func TestNewEngineSharesStreams(t *testing.T) {
-	cfg := sim.EngineConfig{Shards: 2}
-	local, stopLocal, err := NewEngine(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopLocal()
-	cluster, stop, err := NewEngine(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	benches := workload.CBP4()
-	ref := local.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 4000)
-	got := cluster.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 4000)
-	requireSameRun(t, "loopback", "gshare", ref, got)
-	if n := cluster.Streams().Stats().Generated; n != uint64(len(benches)) {
-		t.Errorf("loopback run generated %d streams for %d benchmarks, want one each", n, len(benches))
-	}
-
-	// Registry items went over the wire: once stop has shut the cluster
-	// down, the engine can no longer run them.
-	stop()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("engine still ran a registry item after stop; it dispatched nothing to the cluster")
-			}
-		}()
-		cluster.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches[:1], 2000)
-	}()
-
-	if _, _, err := NewEngine(cfg, -1); err == nil {
-		t.Error("NewEngine with -1 workers = nil error")
-	}
-}

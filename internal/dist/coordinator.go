@@ -2,9 +2,10 @@
 // (DESIGN.md §14): a Coordinator plugs into sim.Engine as its
 // RemoteRunner and turns every registry-rebuildable work item into a
 // leased entry of a worker-pull queue, and Workers — separate
-// processes (cmd/imliworker) or in-process goroutines (StartLocal,
-// behind NewEngine) — lease items over HTTP, execute them with their
-// own local engine, and post the results back.
+// processes (cmd/imliworker) — lease items over HTTP, execute them
+// with their own local engine, and post the results back. Only the
+// fleet binaries (cmd/imlid -coordinator, cmd/imliworker) link this
+// package; every other tool runs its engine in-process.
 //
 // The design leans entirely on determinism: a work item is a value
 // (registry names + seeds + geometry, sim.ItemSpec), its result is a

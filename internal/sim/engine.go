@@ -66,13 +66,10 @@ type EngineConfig struct {
 	// nil and the string is non-empty — the common case for callers
 	// plumbing a -cache-dir flag.
 	CacheDir string
-	// Streams, when non-nil, is the materialized-stream cache shards
-	// read from; sharing one cache across engines shares the streams.
-	Streams *workload.StreamCache
-	// StreamMemory sizes the private stream cache built when Streams
-	// is nil: 0 means workload.DefaultStreamMemory, <0 disables
-	// materialization entirely so every shard regenerates its stream
-	// prefix (the pre-stream-layer behaviour; see DESIGN.md §6).
+	// StreamMemory bounds the engine's materialized-stream cache
+	// (DESIGN.md §6): 0 means workload.DefaultStreamMemory, <0 makes
+	// the cache decline every stream so every shard regenerates its
+	// stream prefix (the pre-stream-layer behaviour).
 	StreamMemory int64
 	// Remote, when non-nil, makes this engine a coordinator (DESIGN.md
 	// §14): work items whose configuration and benchmark are registry
@@ -149,12 +146,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Store == nil && cfg.CacheDir != "" {
 		cfg.Store = OpenStore(cfg.CacheDir)
 	}
-	if cfg.Streams == nil && cfg.StreamMemory >= 0 {
-		cfg.Streams = workload.NewStreamCache(cfg.StreamMemory, "")
-	}
 	return &Engine{
 		workers: cfg.Workers, shards: cfg.Shards, exact: cfg.ExactShards,
-		store: cfg.Store, streams: cfg.Streams,
+		store: cfg.Store, streams: workload.NewStreamCache(cfg.StreamMemory, ""),
 		remote: cfg.Remote,
 		sem:    make(chan struct{}, cfg.Workers),
 	}
@@ -163,8 +157,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 // Shards returns the per-benchmark shard count.
 func (e *Engine) Shards() int { return e.shards }
 
-// Streams returns the engine's materialized-stream cache, or nil when
-// materialization is disabled.
+// Streams returns the engine's materialized-stream cache. It is never
+// nil; with a negative EngineConfig.StreamMemory it declines every
+// stream.
 func (e *Engine) Streams() *workload.StreamCache { return e.streams }
 
 // Stats returns cumulative work counters.
@@ -323,11 +318,7 @@ func (e *Engine) RunSuiteContext(ctx context.Context, builder func() predictor.P
 // measured result, the stream position the predictor ended at, and the
 // number of records actually fed.
 func (e *Engine) feedWindow(p predictor.Predictor, b workload.Benchmark, budget, skip, start, end int) (res Result, finalPos, fed int) {
-	var stream *workload.Stream
-	if e.streams != nil {
-		stream = e.streams.Get(b, budget)
-	}
-	if stream != nil {
+	if stream := e.streams.Get(b, budget); stream != nil {
 		// The materialized stream is the full Generate(budget) output
 		// including the episode-granular overshoot, so an unsharded
 		// run's unbounded window clamps to the identical record set a

@@ -151,10 +151,9 @@ func TestStreamMaterializedOncePerSuiteRun(t *testing.T) {
 	benches := workload.CBP4()[:4]
 	const budget, shards = 20000, 8
 
-	sc := workload.NewStreamCache(0, "")
-	run := NewEngine(EngineConfig{Shards: shards, Streams: sc}).
-		RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, budget)
-	st := sc.Stats()
+	e := NewEngine(EngineConfig{Shards: shards})
+	run := e.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, budget)
+	st := e.Streams().Stats()
 	if st.Generated != uint64(len(benches)) {
 		t.Errorf("generated %d streams for %d benchmarks × %d shards, want exactly one per benchmark",
 			st.Generated, len(benches), shards)
@@ -177,24 +176,29 @@ func TestStreamMaterializedOncePerSuiteRun(t *testing.T) {
 // one engine running k configurations still generates each stream once.
 func TestStreamSharedAcrossConfigs(t *testing.T) {
 	benches := workload.CBP4()[:3]
-	sc := workload.NewStreamCache(0, "")
-	e := NewEngine(EngineConfig{Shards: 4, Streams: sc})
+	e := NewEngine(EngineConfig{Shards: 4})
 	for _, cfg := range []string{"gshare", "bimodal", "gehl"} {
 		e.RunSuite(builderFor(cfg), cfg, "cbp4", benches, 6000)
 	}
-	if g := sc.Stats().Generated; g != uint64(len(benches)) {
+	if g := e.Streams().Stats().Generated; g != uint64(len(benches)) {
 		t.Errorf("3 configs × %d benchmarks generated %d streams, want %d", len(benches), g, len(benches))
 	}
 }
 
-// TestEngineDefaultMaterializes checks the zero-value EngineConfig gets
-// a stream cache (materialization is the default data path).
+// TestEngineDefaultMaterializes checks the zero-value EngineConfig
+// materializes streams (the default data path) and a negative
+// StreamMemory materializes none.
 func TestEngineDefaultMaterializes(t *testing.T) {
-	if NewEngine(EngineConfig{}).Streams() == nil {
-		t.Error("default engine has no stream cache")
-	}
-	if NewEngine(EngineConfig{StreamMemory: -1}).Streams() != nil {
-		t.Error("StreamMemory<0 did not disable materialization")
+	benches := workload.CBP4()[:2]
+	for _, tc := range []struct {
+		streamMem int64
+		want      uint64
+	}{{0, uint64(len(benches))}, {-1, 0}} {
+		e := NewEngine(EngineConfig{Shards: 2, StreamMemory: tc.streamMem})
+		e.RunSuite(builderFor("bimodal"), "bimodal", "cbp4", benches, 2000)
+		if g := e.Streams().Stats().Generated; g != tc.want {
+			t.Errorf("StreamMemory=%d: generated %d streams, want %d", tc.streamMem, g, tc.want)
+		}
 	}
 }
 
