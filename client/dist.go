@@ -95,6 +95,10 @@ type WorkCompletion struct {
 	// coordinator re-dispatches a failed item a bounded number of times
 	// before failing the jobs waiting on it.
 	Error string `json:"error,omitempty"`
+	// Next asks for the sender's next item in the acknowledgment
+	// (WorkAck.Next), saving a lease round trip. The coordinator never
+	// waits for one: an empty queue answers without a lease.
+	Next bool `json:"next,omitempty"`
 }
 
 // WorkAck is the coordinator's answer to a completion.
@@ -110,6 +114,9 @@ type WorkAck struct {
 	// Stale marks a completion under an expired or re-dispatched
 	// lease that still delivered the item's first result.
 	Stale bool `json:"stale,omitempty"`
+	// Next is the sender's next lease when the completion asked for one
+	// (WorkCompletion.Next) and an item was pending; nil otherwise.
+	Next *WorkLease `json:"nextLease,omitempty"`
 }
 
 // WorkStats is the /v1/work/stats payload: the coordinator's queue
@@ -139,9 +146,11 @@ type WorkStats struct {
 	Mismatches uint64 `json:"mismatches"`
 }
 
-// LeaseWork asks the coordinator for one work item. ok is false when
-// the queue is empty (HTTP 204) — workers should back off briefly and
-// poll again.
+// LeaseWork asks the coordinator for one work item. The coordinator
+// holds the request until an item is pending, up to a bound of its own
+// (docs/API.md); ok is false when none arrived in that time or the
+// coordinator is closing (HTTP 204), and the caller may simply ask
+// again.
 func (c *Client) LeaseWork(ctx context.Context, worker string) (lease WorkLease, ok bool, err error) {
 	err = c.do(ctx, http.MethodPost, "/v1/work/lease", WorkLeaseRequest{Worker: worker}, &lease)
 	if err != nil {

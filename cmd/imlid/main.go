@@ -189,9 +189,13 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if err := srv.Drain(drainCtx); err != nil {
 			fmt.Fprintf(stdout, "imlid: drain deadline hit, outstanding jobs canceled\n")
 		}
-		// Jobs are finished (or canceled); now close the listener and
-		// let in-flight responses — including event streams, which end
-		// with their jobs — complete.
+		// Jobs are finished (or canceled). Closing the coordinator
+		// answers waiting lease requests at once; then close the
+		// listener and let in-flight responses — including event
+		// streams, which end with their jobs — complete.
+		if coord != nil {
+			coord.Close()
+		}
 		shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel2()
 		_ = httpSrv.Shutdown(shutCtx)

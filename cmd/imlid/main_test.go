@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -291,6 +292,73 @@ func TestDistributedSmoke(t *testing.T) {
 			t.Fatalf("trace %s not bit-identical after worker loss:\ndistributed: %s\ndirect:      %s",
 				got.Trace, got.Text, want)
 		}
+	}
+}
+
+// TestCoordinatorShutdownAnswersWaitingLease: SIGTERM to an imlid
+// -coordinator holding a waiting lease request answers the request
+// empty and exits well inside the 5s shutdown deadline, instead of
+// waiting the request out.
+func TestCoordinatorShutdownAnswersWaitingLease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and signals a real daemon")
+	}
+	bin := filepath.Join(t.TempDir(), "imlid")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cmd, base := startDaemon(t, bin, "-coordinator")
+	var exitErr error
+	exited := make(chan struct{})
+	go func() {
+		exitErr = cmd.Wait()
+		close(exited)
+	}()
+	defer func() {
+		_ = cmd.Process.Kill()
+		<-exited
+	}()
+
+	c := client.New(base)
+	c.Retry = &client.RetryPolicy{MaxAttempts: 1}
+	// A first round trip opens the connection the lease request reuses.
+	if _, err := c.WorkStats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		ok  bool
+		err error
+		at  time.Time
+	}
+	leased := make(chan answer, 1)
+	go func() {
+		_, ok, err := c.LeaseWork(context.Background(), "w")
+		leased <- answer{ok, err, time.Now()}
+	}()
+	// The daemon exposes no count of waiting requests; give this one
+	// time to reach the lease handler. A late one fails to connect.
+	time.Sleep(300 * time.Millisecond)
+	sent := time.Now()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+		if exitErr != nil {
+			t.Fatalf("daemon exit: %v", exitErr)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon still running 10s after SIGTERM")
+	}
+	if d := time.Since(sent); d > 2500*time.Millisecond {
+		t.Errorf("daemon exited %s after SIGTERM; shutdown waited on the lease request", d)
+	}
+	a := <-leased
+	if a.err != nil || a.ok {
+		t.Fatalf("waiting lease = ok %v, err %v; want an empty answer", a.ok, a.err)
+	}
+	if a.at.Before(sent) {
+		t.Error("the lease request was answered before SIGTERM: it never waited")
 	}
 }
 

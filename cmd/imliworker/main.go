@@ -1,8 +1,10 @@
 // Command imliworker is a fleet member for a distributed imlid
-// coordinator (DESIGN.md §14): it polls the coordinator's worker-pull
-// queue at /v1/work/, leases (config × bench × shard) work items, runs
+// coordinator (DESIGN.md §14): it leases (config × bench × shard) work
+// items from the coordinator's worker-pull queue at /v1/work/, runs
 // them on a local simulation engine, and posts each item's counters
-// back. Simulation is deterministic, so the coordinator's merged
+// back. A lease request waits on the coordinator until work is
+// pending, and each completion carries the slot's next lease when one
+// is. Simulation is deterministic, so the coordinator's merged
 // results are bit-identical to a single-process run no matter how many
 // workers share the queue.
 //
@@ -51,7 +53,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	coordinator := fs.String("coordinator", "", "base URL of the imlid -coordinator daemon (required, e.g. http://host:8327)")
 	name := fs.String("name", "", "worker name reported on leases (default <hostname>-<pid>)")
 	slots := fs.Int("slots", 0, "work items leased concurrently (0 = GOMAXPROCS; simulation inside an item is bounded engine-wide by -parallel)")
-	poll := fs.Duration("poll", 50*time.Millisecond, "idle delay between lease polls while the queue is empty")
+	poll := fs.Duration("poll", 50*time.Millisecond, "back-off after a failed or empty lease request (the coordinator holds each request until work is pending, up to its own bound)")
 	eng := cliflags.Register(fs)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -88,7 +90,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Fprintf(stdout, "imliworker: polling %s (slots %d)\n", url, n)
+	fmt.Fprintf(stdout, "imliworker: leasing from %s (slots %d)\n", url, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		w := &dist.Worker{

@@ -25,8 +25,9 @@ func TestChaosBitIdentity(t *testing.T) {
 		// Kill the first two leased items outright (guaranteed early
 		// chaos, exercising the Rule.First clause), then every 5th.
 		"dist/worker.kill": {First: 2, Every: 5},
-		// Force-expire every live lease on every 3rd poll: stragglers
-		// keep finishing items the coordinator has re-dispatched.
+		// Force-expire every live lease on every 3rd lease attempt:
+		// stragglers keep finishing items the coordinator has
+		// re-dispatched.
 		"dist/lease.expire": {Every: 3},
 		// Re-send every 2nd delivered completion.
 		"dist/worker.dupcomplete": {Every: 2},

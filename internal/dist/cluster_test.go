@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/client"
 	"repro/internal/sim"
@@ -29,7 +28,7 @@ type Cluster struct {
 }
 
 // StartLocal starts a coordinator on a loopback listener and n workers
-// polling it. newEngine builds each worker's engine (workers need their
+// leasing from it. newEngine builds each worker's engine (workers need their
 // own engines: a worker sharing the coordinating engine's store would
 // short-circuit the wire path the cluster exists to exercise; sharing
 // is still fine, just untested here). Close the cluster when done.
@@ -62,7 +61,6 @@ func StartLocal(n int, cfg CoordinatorConfig, newEngine func(i int) *sim.Engine)
 			Client: client.New(cl.URL),
 			Engine: newEngine(i),
 			Name:   fmt.Sprintf("local-%d", i),
-			Poll:   2 * time.Millisecond, // in-process pollers can afford a tight loop
 		}
 		cl.wg.Add(1)
 		go func() {

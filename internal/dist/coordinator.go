@@ -18,10 +18,13 @@
 // single-process run no matter which subset of these faults occurred.
 // The chaos tests in this package assert exactly that.
 //
-// Lease expiry is evaluated when workers poll, not on a background
-// timer: with no live worker polling, nothing could execute a
-// re-dispatched item anyway, and the package stays free of spinning
-// goroutines.
+// Dispatch is event-driven. A lease request waits on the coordinator
+// until an item is pending, and a completion can carry the worker's
+// next lease, so a busy worker makes one round trip per item. Lease
+// expiry is evaluated by lease requests, not on a background timer: a
+// waiting request also wakes at the earliest lease deadline, and with
+// no worker asking for work nothing could execute a re-dispatched item
+// anyway, so the package stays free of spinning goroutines.
 package dist
 
 import (
@@ -40,8 +43,8 @@ import (
 // CoordinatorConfig sizes a Coordinator.
 type CoordinatorConfig struct {
 	// LeaseTTL is how long a worker may hold a leased item before the
-	// coordinator re-dispatches it; <=0 means 30s. Expiry is checked
-	// whenever a worker polls for work.
+	// coordinator re-dispatches it; <=0 means 30s. Lease requests check
+	// expiry, and a waiting one wakes at the earliest lease deadline.
 	LeaseTTL time.Duration
 	// MaxFailures is how many worker-reported error completions an
 	// item absorbs before the coordinator fails it (failing the jobs
@@ -57,6 +60,11 @@ type CoordinatorConfig struct {
 // ErrClosed is returned by RunItem when the coordinator is closed
 // while the item is still outstanding.
 var ErrClosed = errors.New("dist: coordinator closed")
+
+// maxLeaseWait bounds how long a lease request waits for work before
+// the coordinator answers that none is pending (docs/API.md). It only
+// limits how long an idle worker's request is held open.
+const maxLeaseWait = 10 * time.Second
 
 // itemState is a work item's scheduling state.
 type itemState int
@@ -76,6 +84,7 @@ type workItem struct {
 	state    itemState
 	lease    string // current lease ID while stateLeased
 	failures int
+	waiters  int // RunItem calls waiting on the item
 
 	results []sim.Result
 	err     error
@@ -106,6 +115,9 @@ type Coordinator struct {
 	doneOrder []string             // retained-done keys, oldest first
 	nextLease int
 	closed    chan struct{}
+	// wake is closed and replaced whenever an item becomes pending,
+	// waking every waiting lease request.
+	wake chan struct{}
 
 	dispatched uint64
 	completed  uint64
@@ -133,20 +145,27 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		items:  map[string]*workItem{},
 		leases: map[string]*lease{},
 		closed: make(chan struct{}),
+		wake:   make(chan struct{}),
 	}
 }
 
 // Close fails every outstanding RunItem with ErrClosed and makes
-// further leases come back empty. Idempotent.
+// waiting and further leases come back empty. Idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.isClosed() {
+		close(c.closed)
+	}
+}
+
+func (c *Coordinator) isClosed() bool {
 	select {
 	case <-c.closed:
-		return
+		return true
 	default:
+		return false
 	}
-	close(c.closed)
 }
 
 // itemKey canonicalizes an ItemSpec: its JSON encoding (fixed field
@@ -165,7 +184,10 @@ func itemKey(spec sim.ItemSpec) string {
 // the in-flight entry — concurrent identical requests share one
 // execution, like the engine's own dedup layers) and blocks until a
 // worker delivers the result, the item exhausts MaxFailures, ctx is
-// canceled, or the coordinator closes.
+// canceled, or the coordinator closes. When the last waiter's ctx ends
+// while the item is still pending, the item is withdrawn, so a
+// canceled job's work does not run on the fleet; a leased item runs
+// to completion.
 func (c *Coordinator) RunItem(ctx context.Context, item sim.ItemSpec) ([]sim.Result, error) {
 	k := itemKey(item)
 	c.mu.Lock()
@@ -173,13 +195,15 @@ func (c *Coordinator) RunItem(ctx context.Context, item sim.ItemSpec) ([]sim.Res
 	if !ok {
 		it = &workItem{spec: item, key: k, done: make(chan struct{})}
 		c.items[k] = it
-		c.queue = append(c.queue, it)
+		c.pushLocked(it)
 	}
+	it.waiters++
 	c.mu.Unlock()
 
 	select {
 	case <-it.done:
 	case <-ctx.Done():
+		c.leave(it)
 		return nil, ctx.Err()
 	case <-c.closed:
 		return nil, ErrClosed
@@ -192,22 +216,80 @@ func (c *Coordinator) RunItem(ctx context.Context, item sim.ItemSpec) ([]sim.Res
 	return append([]sim.Result(nil), it.results...), nil
 }
 
-// Lease grants the oldest pending item to a worker, first requeueing
-// any expired leases (or, under an injected "dist/lease.expire" fault,
-// force-expiring every live lease — the test harness's way of
-// compressing a TTL elapse into an instant). ok is false when no work
-// is pending.
-func (c *Coordinator) Lease(worker string) (client.WorkLease, bool) {
-	now := time.Now()
-	force := faultinject.Err("dist/lease.expire") != nil
+// leave drops one of the item's waiters. The last one out withdraws a
+// still-pending item from the queue and the index.
+func (c *Coordinator) leave(it *workItem) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
-		return client.WorkLease{}, false
-	default:
+	it.waiters--
+	if it.waiters > 0 || it.state != statePending {
+		return
 	}
-	c.expireLocked(now, force)
+	delete(c.items, it.key)
+	for i, q := range c.queue {
+		if q == it {
+			c.queue = append(c.queue[:i], c.queue[i+1:]...)
+			return
+		}
+	}
+}
+
+// pushLocked queues a pending item and wakes every waiting lease
+// request. Waking them all costs one failed grant per extra waiter,
+// which at fleet sizes is cheaper than tracking who waits.
+func (c *Coordinator) pushLocked(it *workItem) {
+	c.queue = append(c.queue, it)
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// Lease grants the oldest pending item to a worker, waiting for one
+// until deadline passes, ctx ends or the coordinator closes; ok is
+// false when nothing was granted. A zero or past deadline makes one
+// attempt without waiting, and a request whose ctx has ended takes no
+// item. Every attempt first requeues expired leases (or, under an
+// injected "dist/lease.expire" fault, force-expires every live lease —
+// the test harness's way of compressing a TTL elapse into an instant),
+// and a waiting request also wakes at the earliest lease deadline, so
+// expired items re-dispatch without a background goroutine.
+func (c *Coordinator) Lease(ctx context.Context, worker string, deadline time.Time) (client.WorkLease, bool) {
+	for {
+		now := time.Now()
+		force := faultinject.Err("dist/lease.expire") != nil
+		c.mu.Lock()
+		if c.isClosed() || ctx.Err() != nil {
+			c.mu.Unlock()
+			return client.WorkLease{}, false
+		}
+		c.expireLocked(now, force)
+		if l, ok := c.grantLocked(worker, now); ok {
+			c.mu.Unlock()
+			return l, true
+		}
+		wake, until := c.wake, deadline
+		for _, l := range c.leases {
+			if l.deadline.Before(until) {
+				until = l.deadline
+			}
+		}
+		c.mu.Unlock()
+		if !until.After(now) {
+			return client.WorkLease{}, false
+		}
+		t := time.NewTimer(until.Sub(now))
+		select {
+		case <-wake:
+		case <-t.C:
+		case <-ctx.Done():
+		case <-c.closed:
+		}
+		t.Stop()
+	}
+}
+
+// grantLocked leases the oldest pending item to worker; ok is false
+// when none is pending.
+func (c *Coordinator) grantLocked(worker string, now time.Time) (client.WorkLease, bool) {
 	for len(c.queue) > 0 {
 		it := c.queue[0]
 		c.queue = c.queue[1:]
@@ -236,14 +318,18 @@ func (c *Coordinator) expireLocked(now time.Time, force bool) {
 		}
 		delete(c.leases, id)
 		c.expired++
-		it := l.item
-		if it.state == stateLeased && it.lease == id {
-			it.state = statePending
-			it.lease = ""
-			c.queue = append(c.queue, it)
-			c.requeued++
+		if it := l.item; it.state == stateLeased && it.lease == id {
+			c.requeueLocked(it)
 		}
 	}
+}
+
+// requeueLocked returns a leased item to the queue.
+func (c *Coordinator) requeueLocked(it *workItem) {
+	it.state = statePending
+	it.lease = ""
+	c.requeued++
+	c.pushLocked(it)
 }
 
 // Complete credits a completion. The item, not the lease, is the
@@ -253,12 +339,23 @@ func (c *Coordinator) expireLocked(now time.Time, force bool) {
 // for an item the coordinator has no record of — e.g. from before a
 // coordinator restart — is acknowledged but not credited (Accepted
 // false). Error completions count toward the item's MaxFailures
-// budget and requeue it until the budget is exhausted.
+// budget and requeue it until the budget is exhausted. A completion
+// asking for Next gets the sender's next lease in the acknowledgment
+// if an item is pending at that moment; it never waits for one.
 func (c *Coordinator) Complete(comp client.WorkCompletion) client.WorkAck {
-	spec := fromWireItem(comp.Item)
-	k := itemKey(spec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ack := c.completeLocked(comp)
+	if comp.Next && !c.isClosed() {
+		if l, ok := c.grantLocked(comp.Worker, time.Now()); ok {
+			ack.Next = &l
+		}
+	}
+	return ack
+}
+
+func (c *Coordinator) completeLocked(comp client.WorkCompletion) client.WorkAck {
+	k := itemKey(fromWireItem(comp.Item))
 
 	it, known := c.items[k]
 	l, leaseLive := c.leases[comp.Lease]
@@ -325,10 +422,7 @@ func (c *Coordinator) failLocked(it *workItem, msg string, wasCurrentLease bool)
 		return client.WorkAck{Accepted: true}
 	}
 	if it.state == stateLeased && wasCurrentLease {
-		it.state = statePending
-		it.lease = ""
-		c.queue = append(c.queue, it)
-		c.requeued++
+		c.requeueLocked(it)
 	}
 	return client.WorkAck{Accepted: true}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -42,19 +43,20 @@ func startItem(c *Coordinator, spec sim.ItemSpec) chan outcome {
 	return ch
 }
 
-// awaitLease polls until the coordinator hands out an item (RunItem
+// awaitLease waits until the coordinator hands out an item (RunItem
 // enqueues on a goroutine, so the queue fills asynchronously).
 func awaitLease(t *testing.T, c *Coordinator, worker string) client.WorkLease {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if l, ok := c.Lease(worker); ok {
-			return l
-		}
-		time.Sleep(time.Millisecond)
+	l, ok := c.Lease(context.Background(), worker, time.Now().Add(5*time.Second))
+	if !ok {
+		t.Fatal("no lease granted within 5s")
 	}
-	t.Fatal("no lease granted within 5s")
-	return client.WorkLease{}
+	return l
+}
+
+// tryLease makes one lease attempt without waiting.
+func tryLease(c *Coordinator, worker string) (client.WorkLease, bool) {
+	return c.Lease(context.Background(), worker, time.Time{})
 }
 
 func TestLeaseFIFOAndComplete(t *testing.T) {
@@ -72,7 +74,7 @@ func TestLeaseFIFOAndComplete(t *testing.T) {
 	if fromWireItem(l1.Item) != a || fromWireItem(l2.Item) != b {
 		t.Fatalf("lease order = %v, %v; want FIFO %v, %v", l1.Item, l2.Item, a, b)
 	}
-	if _, ok := c.Lease("w3"); ok {
+	if _, ok := tryLease(c, "w3"); ok {
 		t.Fatal("third lease granted with an empty queue")
 	}
 
@@ -114,9 +116,9 @@ func TestExpiredLeaseRequeuesItem(t *testing.T) {
 	spec := specN(1)
 	ch := startItem(c, spec)
 	l1 := awaitLease(t, c, "doomed")
-	time.Sleep(10 * time.Millisecond)
 
-	// The expiry is evaluated on this poll; the same item comes back.
+	// The waiting request wakes at l1's deadline and expires it; the
+	// same item comes back.
 	l2 := awaitLease(t, c, "heir")
 	if fromWireItem(l2.Item) != spec {
 		t.Fatalf("re-dispatched item = %v, want %v", l2.Item, spec)
@@ -251,7 +253,7 @@ func TestConcurrentIdenticalItemsShareOneExecution(t *testing.T) {
 	ch2 := startItem(c, spec)
 
 	l := awaitLease(t, c, "w")
-	if _, ok := c.Lease("w"); ok {
+	if _, ok := tryLease(c, "w"); ok {
 		t.Fatal("identical in-flight items were enqueued twice")
 	}
 	c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Results: resultsFor(spec)})
@@ -275,25 +277,93 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 	if !errors.Is(out.err, ErrClosed) {
 		t.Fatalf("RunItem err = %v, want ErrClosed", out.err)
 	}
-	if _, ok := c.Lease("w"); ok {
+	if _, ok := tryLease(c, "w"); ok {
 		t.Fatal("closed coordinator granted a lease")
 	}
 }
 
+// TestCanceledRunItemReturnsCtxErr: a canceled RunItem returns
+// ctx.Err(). When its last waiter leaves, a pending item is withdrawn,
+// so a canceled job's work never reaches a worker; an identical request
+// still waiting keeps it, and a leased item runs to completion.
 func TestCanceledRunItemReturnsCtxErr(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{})
 	defer c.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := c.RunItem(ctx, specN(1))
-		ch <- outcome{res, err}
-	}()
-	awaitPending(t, c, 1)
-	cancel()
-	if out := <-ch; !errors.Is(out.err, context.Canceled) {
-		t.Fatalf("RunItem err = %v, want context.Canceled", out.err)
+	start := func(spec sim.ItemSpec) (chan outcome, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		ch := make(chan outcome, 1)
+		go func() {
+			res, err := c.RunItem(ctx, spec)
+			ch <- outcome{res, err}
+		}()
+		return ch, cancel
 	}
+	canceled := func(ch chan outcome, cancel context.CancelFunc) {
+		t.Helper()
+		cancel()
+		if out := <-ch; !errors.Is(out.err, context.Canceled) {
+			t.Fatalf("RunItem err = %v, want context.Canceled", out.err)
+		}
+	}
+
+	// The only waiter leaves: the item is withdrawn.
+	ch, cancel := start(specN(1))
+	awaitPending(t, c, 1)
+	canceled(ch, cancel)
+	if l, ok := tryLease(c, "w"); ok {
+		t.Fatalf("withdrawn item leased: %+v", l)
+	}
+	if st := c.Stats(); st.Pending != 0 || st.Leased != 0 || st.Dispatched != 0 {
+		t.Fatalf("stats after the only waiter left = %+v", st)
+	}
+
+	// One of two identical waiters leaves: the other keeps the item.
+	spec := specN(2)
+	chA, cancelA := start(spec)
+	awaitWaiters(t, c, spec, 1)
+	chB, cancelB := start(spec)
+	defer cancelB()
+	awaitWaiters(t, c, spec, 2)
+	canceled(chA, cancelA)
+	l := awaitLease(t, c, "w")
+	if fromWireItem(l.Item) != spec {
+		t.Fatalf("leased %v, want %v", l.Item, spec)
+	}
+	c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Results: resultsFor(spec)})
+	if out := <-chB; out.err != nil || len(out.res) != 1 {
+		t.Fatalf("remaining waiter: %+v", out)
+	}
+
+	// A leased item's only waiter leaves: the item runs to completion.
+	spec = specN(3)
+	ch, cancel = start(spec)
+	l = awaitLease(t, c, "w")
+	canceled(ch, cancel)
+	ack := c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Results: resultsFor(spec)})
+	if !ack.Accepted || ack.Stale || ack.Duplicate {
+		t.Fatalf("completion of a leased item without waiters: %+v", ack)
+	}
+	if st := c.Stats(); st.Completed != 2 || st.Pending != 0 || st.Leased != 0 {
+		t.Fatalf("final stats = %+v", st)
+	}
+}
+
+// awaitWaiters waits until n RunItem calls wait on spec's item.
+func awaitWaiters(t *testing.T, c *Coordinator, spec sim.ItemSpec, n int) {
+	t.Helper()
+	k := itemKey(spec)
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		c.mu.Lock()
+		it := c.items[k]
+		got := it != nil && it.waiters == n
+		c.mu.Unlock()
+		if got {
+			return
+		}
+		runtime.Gosched()
+	}
+	t.Fatalf("item %v never had %d waiters", spec, n)
 }
 
 func TestInjectedLeaseExpiryForcesRedispatch(t *testing.T) {
@@ -306,7 +376,7 @@ func TestInjectedLeaseExpiryForcesRedispatch(t *testing.T) {
 	l1 := awaitLease(t, c, "w")
 
 	// TTL is an hour, but the injected fault expires the live lease on
-	// the very next poll.
+	// the very next lease attempt.
 	l2 := awaitLease(t, c, "w")
 	if l2.Lease == l1.Lease || fromWireItem(l2.Item) != spec {
 		t.Fatalf("forced expiry did not re-dispatch: %+v then %+v", l1, l2)

@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"time"
 
 	"repro/client"
 )
 
 // Handler returns the coordinator's worker-pull HTTP API (docs/API.md):
 //
-//	POST /v1/work/lease     lease one item (204 when none pending)
+//	POST /v1/work/lease     lease one item, waiting up to maxLeaseWait (204 when none came)
 //	POST /v1/work/complete  post a leased item's outcome
 //	GET  /v1/work/stats     queue depth + scheduling counters
 //
@@ -34,7 +35,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req, "bad lease request: ") {
 		return
 	}
-	l, ok := c.Lease(req.Worker)
+	l, ok := c.Lease(r.Context(), req.Worker, time.Now().Add(maxLeaseWait))
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return

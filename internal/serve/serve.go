@@ -69,8 +69,8 @@ type Config struct {
 	// WorkHandler, when non-nil, is mounted at /v1/work/ — the
 	// coordinator's worker-pull queue API (internal/dist, DESIGN.md
 	// §14). It bypasses the rate limit: workers are trusted
-	// infrastructure, and shedding their polls would stall every job
-	// whose items they execute.
+	// infrastructure, and shedding their lease requests would stall
+	// every job whose items they execute.
 	WorkHandler http.Handler
 }
 
