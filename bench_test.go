@@ -1,7 +1,8 @@
 // Benchmarks: one per paper table/figure (regenerating the artifact at
 // reduced budget and reporting the headline MPKI numbers as custom
 // metrics), plus per-predictor microbenchmarks of prediction
-// throughput. Run the full-size artifacts with cmd/imlibench.
+// throughput. Run the full-size artifacts with
+// `go run ./cmd/imlireport -out=- -branches=250000`.
 package imli_test
 
 import (

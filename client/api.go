@@ -52,7 +52,7 @@ const (
 	// `imlisim -predictor=C -bench=B`.
 	JobBench JobType = "bench"
 	// JobExperiment reproduces one paper artifact by experiment ID —
-	// the service-side equivalent of `imlibench -exp=ID`.
+	// the service-side equivalent of `imlireport -out=- -exp=ID`.
 	JobExperiment JobType = "experiment"
 )
 

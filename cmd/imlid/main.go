@@ -109,6 +109,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := cliflags.Positive("queue-depth", *queueDepth); err != nil {
 		return err
 	}
+	if err := cliflags.Positive("budget", *budget); err != nil {
+		return err
+	}
 	if err := cliflags.Positive("keep-jobs", *keepJobs); err != nil {
 		return err
 	}

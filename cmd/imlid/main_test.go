@@ -55,6 +55,8 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-job-workers=0", "-once"}, "-job-workers"},
 		{[]string{"-job-workers=-3", "-once"}, "-job-workers"},
 		{[]string{"-queue-depth=0", "-once"}, "-queue-depth"},
+		{[]string{"-budget=0", "-once"}, "-budget"},
+		{[]string{"-budget=-1", "-once"}, "-budget"},
 		{[]string{"-keep-jobs=-1", "-once"}, "-keep-jobs"},
 		{[]string{"-drain-timeout=0s", "-once"}, "-drain-timeout"},
 		{[]string{"-drain-timeout=-5s", "-once"}, "-drain-timeout"},

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/cliflags"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -38,6 +39,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
+		return err
+	}
+	if err := cliflags.Positive("branches", *branches); err != nil {
 		return err
 	}
 

@@ -72,3 +72,16 @@ func TestRunSuiteBenchConflict(t *testing.T) {
 		t.Errorf("agreeing -suite and -bench rejected: %v", err)
 	}
 }
+
+func TestRunRejectsNonPositiveBranches(t *testing.T) {
+	for _, b := range []string{"-branches=0", "-branches=-1"} {
+		dir := filepath.Join(t.TempDir(), "traces")
+		err := run([]string{"-out=" + dir, "-bench=MM-4", b}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-branches") {
+			t.Errorf("%s: err = %v, want an error naming -branches", b, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "MM-4.imlt")); err == nil {
+			t.Errorf("%s wrote a trace", b)
+		}
+	}
+}

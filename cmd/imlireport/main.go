@@ -1,17 +1,28 @@
-// Command imlireport renders EXPERIMENTS.md: it runs the experiment
-// suite and writes one markdown section per experiment with the
-// rendered report text and the full table of key metrics
-// (experiments.Report.Values). The checked-in EXPERIMENTS.md is the
-// quick-budget output of this command; regenerate it after any change
-// that moves the numbers:
+// Command imlireport runs the paper's evaluation — every table and
+// figure, each with the paper's own numbers quoted inline — and
+// renders it as markdown: one section per experiment with the report
+// text and the full table of key metrics (experiments.Report.Values).
+// Simulation goes through the parallel engine; with -cache-dir,
+// re-running after an interruption (or with overlapping experiment
+// selections) only simulates what is missing.
+//
+// The checked-in EXPERIMENTS.md is the quick-budget output of this
+// command; regenerate it after any change that moves the numbers:
 //
 //	go run ./cmd/imlireport -branches=40000 -shards=4 -cache-dir=.imli-cache
 //
+// Unless -q is set, stderr carries per-suite progress lines, each
+// experiment's elapsed time and, when the result store served or
+// resumed work, an engine summary line. None of it enters the
+// document. -h lists the flags and every experiment ID.
+//
 // Usage:
 //
-//	imlireport                          # EXPERIMENTS.md, quick budget
-//	imlireport -out=- -exp=e1,table1    # selected experiments to stdout
-//	imlireport -branches=250000         # full-size numbers
+//	imlireport                              # EXPERIMENTS.md, quick budget
+//	imlireport -out=- -exp=e1,table1        # selected experiments to stdout
+//	imlireport -out=- -branches=250000      # full-size numbers
+//	imlireport -out=- -exp=seeds -seeds=5   # 5-seed sweep: mean ± CI, paired tests
+//	imlireport -h                           # flags and experiment IDs
 package main
 
 import (
@@ -22,6 +33,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
@@ -39,12 +51,21 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("imlireport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("out", "EXPERIMENTS.md", "output file ('-' = stdout)")
-	exp := fs.String("exp", "all", "comma-separated experiment IDs, or 'all'")
+	exp := fs.String("exp", "all", "comma-separated experiment IDs (listed below), or 'all'")
 	branches := fs.Int("branches", experiments.QuickParams().Budget,
 		"branch records generated per trace")
 	eng := cliflags.Register(fs)
 	seeds := cliflags.RegisterSeeds(fs)
-	quiet := fs.Bool("q", false, "suppress per-suite progress lines")
+	quiet := fs.Bool("q", false, "suppress progress, timing and engine lines on stderr")
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintln(w, "Usage of imlireport:")
+		fs.PrintDefaults()
+		fmt.Fprintln(w, "\nExperiments:")
+		for _, e := range experiments.All() {
+			fmt.Fprintf(w, "  %-10s %s\n", e.ID, e.Title)
+		}
+	}
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -52,6 +73,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	if err := cliflags.Positive("branches", *branches); err != nil {
+		return err
+	}
 	seedList, err := cliflags.SeedList(*seeds)
 	if err != nil {
 		return err
@@ -69,7 +93,17 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	var doc strings.Builder
 	renderHeader(&doc, *branches, eng.Shards, *seeds)
 	for _, e := range toRun {
-		renderExperiment(&doc, e, e.Run(runner))
+		start := time.Now() //lint:allow determinism elapsed time goes to stderr only, never into the document
+		rep := e.Run(runner)
+		if !*quiet {
+			//lint:allow determinism elapsed time goes to stderr only, never into the document
+			fmt.Fprintf(stderr, "%s done in %.1fs\n", e.ID, time.Since(start).Seconds())
+		}
+		renderExperiment(&doc, e, rep)
+	}
+	if st := runner.EngineStats(); !*quiet && (st.CacheHits > 0 || st.Resumed > 0) {
+		fmt.Fprintf(stderr, "engine: %d shards simulated, %d served from cache, %d resumed from snapshots\n",
+			st.Simulated, st.CacheHits, st.Resumed)
 	}
 
 	if *out == "-" {

@@ -73,6 +73,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
+	if err := cliflags.Positive("branches", *branches); err != nil {
+		return err
+	}
 
 	// The three source flags are mutually exclusive: silently ignoring
 	// one would report numbers for a different workload than asked.
@@ -84,6 +87,11 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 	if sources > 1 {
 		return fmt.Errorf("conflicting source flags: pass exactly one of -suite, -bench, -trace")
+	}
+	// The target report replays one synthetic benchmark; every other
+	// mode would drop it without a word.
+	if *targets && (*bench == "" || *allConfigs) {
+		return fmt.Errorf("-targets applies to a single -bench run, not -suite, -trace or -all-configs")
 	}
 
 	seedList, err := cliflags.SeedList(*seeds)

@@ -256,3 +256,43 @@ func TestRunBenchUsesEngineFlags(t *testing.T) {
 		t.Errorf("-bench -cache-dir stored no results under %s (%v)", dir, err)
 	}
 }
+
+func TestRunRejectsNonPositiveBranches(t *testing.T) {
+	for _, b := range []string{"-branches=0", "-branches=-5"} {
+		var out strings.Builder
+		err := run([]string{"-predictor=gshare", "-bench=MM-4", b}, &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-branches") {
+			t.Errorf("%s: err = %v, want an error naming -branches", b, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s printed %q", b, out.String())
+		}
+	}
+}
+
+func TestRunTargetsNeedsBench(t *testing.T) {
+	// -targets reports on one synthetic benchmark; every other mode used
+	// to drop it silently and exit 0.
+	for _, args := range [][]string{
+		{"-predictor=bimodal", "-suite=cbp4", "-branches=500", "-targets"},
+		{"-predictor=bimodal", "-trace=x.imlt", "-targets"},
+		{"-all-configs", "-bench=MM-4", "-branches=500", "-targets"},
+	} {
+		var out strings.Builder
+		err := run(args, &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-targets") {
+			t.Errorf("args %v: err = %v, want an error naming -targets", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v printed %q", args, out.String())
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-predictor=bimodal", "-bench=MM-4", "-branches=500", "-targets"},
+		&out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "targets:") {
+		t.Errorf("-bench -targets printed no target report: %q", out.String())
+	}
+}

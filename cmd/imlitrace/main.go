@@ -19,6 +19,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -42,6 +43,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
+		return err
+	}
+	if err := cliflags.Positive("branches", *branches); err != nil {
 		return err
 	}
 

@@ -36,3 +36,16 @@ func TestRunConflictingSources(t *testing.T) {
 		t.Errorf("unhelpful conflict error: %v", err)
 	}
 }
+
+func TestRunRejectsNonPositiveBranches(t *testing.T) {
+	for _, b := range []string{"-branches=0", "-branches=-1"} {
+		var out strings.Builder
+		err := run([]string{"-bench=SPEC2K6-12", b}, &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-branches") {
+			t.Errorf("%s: err = %v, want an error naming -branches", b, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s printed an analysis:\n%s", b, out.String())
+		}
+	}
+}

@@ -4,9 +4,10 @@
 // them on a local simulation engine, and posts each item's counters
 // back. A lease request waits on the coordinator until work is
 // pending, and each completion carries the slot's next lease when one
-// is. Simulation is deterministic, so the coordinator's merged
-// results are bit-identical to a single-process run no matter how many
-// workers share the queue.
+// is; after a transport error or an empty answer a slot backs off for
+// dist.Worker's fixed 50 ms. Simulation is deterministic, so the
+// coordinator's merged results are bit-identical to a single-process
+// run no matter how many workers share the queue.
 //
 // The worker owns only its local resources: -slots bounds how many
 // items it leases at once, engine flags (-parallel, -cache-dir,
@@ -32,7 +33,6 @@ import (
 	"runtime"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/client"
 	"repro/internal/cliflags"
@@ -53,7 +53,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	coordinator := fs.String("coordinator", "", "base URL of the imlid -coordinator daemon (required, e.g. http://host:8327)")
 	name := fs.String("name", "", "worker name reported on leases (default <hostname>-<pid>)")
 	slots := fs.Int("slots", 0, "work items leased concurrently (0 = GOMAXPROCS; simulation inside an item is bounded engine-wide by -parallel)")
-	poll := fs.Duration("poll", 50*time.Millisecond, "back-off after a failed or empty lease request (the coordinator holds each request until work is pending, up to its own bound)")
 	eng := cliflags.Register(fs)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -67,9 +66,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 	if *slots < 0 {
 		return fmt.Errorf("-slots must be >= 0, got %d", *slots)
-	}
-	if err := cliflags.PositiveDuration("poll", *poll); err != nil {
-		return err
 	}
 	n := *slots
 	if n == 0 {
@@ -97,7 +93,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 			Client: client.New(url),
 			Engine: engine,
 			Name:   fmt.Sprintf("%s-%d", base, i),
-			Poll:   *poll,
 		}
 		wg.Add(1)
 		go func() {

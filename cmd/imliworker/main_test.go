@@ -15,8 +15,6 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-coordinator", "host:8327"}, "scheme"},
 		{[]string{"-coordinator", "http://"}, "host"},
 		{[]string{"-coordinator", "http://h:1", "-slots=-2"}, "-slots"},
-		{[]string{"-coordinator", "http://h:1", "-poll=0s"}, "-poll"},
-		{[]string{"-coordinator", "http://h:1", "-poll=-1s"}, "-poll"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args, io.Discard, io.Discard)

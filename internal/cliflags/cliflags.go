@@ -1,5 +1,5 @@
 // Package cliflags registers the engine flags shared by the command
-// line tools (imlisim, imlibench, imlireport, imlid, imliworker), so
+// line tools (imlisim, imlireport, imlid, imliworker), so
 // the flag names, defaults, wording, and the mapping onto
 // sim.EngineConfig live in one place — the audited single source the
 // README table and DESIGN.md §5–§9 describe. Tool-specific flags
@@ -46,7 +46,7 @@ func Register(fs *flag.FlagSet) *Engine {
 // RegisterSeeds adds the shared -seeds flag with the canonical wording.
 // It is opt-in rather than part of Register because only the tools
 // that fan simulations out over stream seeds take it (imlisim,
-// imlibench, imlireport); imlid jobs carry their own parameters.
+// imlireport); imlid jobs carry their own parameters.
 func RegisterSeeds(fs *flag.FlagSet) *int {
 	return fs.Int("seeds", 1,
 		"stream-seed variants per benchmark: fan runs out over seeds 0..N-1 and report mean ± 95% CI (DESIGN.md §10)")

@@ -1,6 +1,6 @@
 // Package journal is the imlid job journal (DESIGN.md §12): an
-// append-only, fsynced, crash-safe record of every job lifecycle
-// transition the service accepts. On restart, internal/serve replays
+// append-only, fsynced, crash-safe record of every job the service
+// accepts and of how each one ended. On restart, internal/serve replays
 // the journal's incomplete jobs — jobs with an accepted record but no
 // terminal one — so a crash (SIGKILL, power loss, panic) loses no
 // submitted work. Replay is cheap: the job's completed work items are
@@ -41,9 +41,10 @@ import (
 type Kind uint8
 
 // The journaled transitions. Accepted carries the job's normalized
-// spec; Started marks the queued → running edge (informational: replay
-// treats accepted-without-terminal as incomplete whether or not it
-// started); Done, Failed and Canceled are terminal.
+// spec; Done, Failed and Canceled are terminal. Started marked the
+// queued → running edge: imlid no longer writes it, but journals from
+// older daemons hold it, and replay decodes and ignores it (an
+// accepted job without a terminal is incomplete either way).
 const (
 	KindAccepted Kind = 1 + iota
 	KindStarted

@@ -117,7 +117,7 @@ func (j *job) progress(p client.Progress) {
 
 // Write makes the job a progress-line sink for experiment runners
 // (experiments.Params.Progress): every completed line becomes a "log"
-// event, exactly as imlibench would print it.
+// event, exactly as imlireport prints it on stderr.
 func (j *job) Write(p []byte) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -1,11 +1,13 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -303,6 +305,62 @@ func TestDrainUnderLoadLosesNothing(t *testing.T) {
 	stats := engine.Stats()
 	if distinct := uint64(1 + 8*3); stats.Simulated > distinct {
 		t.Fatalf("engine simulated %d items for at most %d distinct specs: a deduplicated job double-ran", stats.Simulated, distinct)
+	}
+}
+
+// TestJournalHoldsAcceptedAndTerminalOnly pins what a finished job
+// leaves in the journal: its accepted and done records, byte for byte
+// what a fresh journal holding just those two entries contains. Replay
+// keys off accepted and terminal records only, so the server writes
+// (and fsyncs) nothing for the queued → running edge.
+func TestJournalHoldsAcceptedAndTerminalOnly(t *testing.T) {
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir + "/imlid.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewServer(serve.Config{Engine: sim.NewEngine(sim.EngineConfig{}), Journal: jnl})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	c := client.New(hs.URL)
+	ctx := context.Background()
+
+	job, err := c.Submit(ctx, client.Spec{Type: client.JobBench, Config: "gshare", Bench: "MM-4", Budget: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(ctx, job.ID, nil); err != nil || final.Status != client.StatusDone {
+		t.Fatalf("job ended %+v, %v; want done", final, err)
+	}
+	// Drain returns once the job's worker is done, terminal record included.
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+
+	want, err := journal.Open(dir + "/want.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []journal.Entry{
+		{Kind: journal.KindAccepted, ID: job.ID, Spec: job.Spec},
+		{Kind: journal.KindDone, ID: job.ID},
+	} {
+		if err := want.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want.Close()
+	got, err := os.ReadFile(dir + "/imlid.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := os.ReadFile(dir + "/want.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, exp) {
+		t.Fatalf("journal after one finished job is %d bytes, want %d (accepted + done only)", len(got), len(exp))
 	}
 }
 

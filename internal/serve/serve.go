@@ -492,17 +492,6 @@ func (s *Server) evictFinished() {
 	s.order = kept
 }
 
-// journalStarted records a job's queued → running edge, best-effort
-// (the record is informational; replay keys off terminals).
-func (s *Server) journalStarted(j *job) {
-	if s.jnl == nil {
-		return
-	}
-	s.mu.Lock()
-	_ = s.jnl.Append(journal.Entry{Kind: journal.KindStarted, ID: j.id})
-	s.mu.Unlock()
-}
-
 // journalTerminal durably ends a job's journal lifecycle and compacts
 // the journal every compactEvery terminals: under s.mu the live
 // (unfinished) jobs are gathered and the file atomically rewritten to
@@ -542,7 +531,6 @@ func (s *Server) runJob(j *job) {
 		s.journalTerminal(j, journal.KindCanceled, "")
 		return
 	}
-	s.journalStarted(j)
 	defer func() {
 		if r := recover(); r != nil {
 			j.finish(client.StatusFailed, fmt.Sprintf("panic: %v", r), nil, time.Now())
