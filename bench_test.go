@@ -14,6 +14,7 @@ import (
 	"repro/internal/neural"
 	"repro/internal/predictor"
 	"repro/internal/sim"
+	"repro/internal/snap"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -282,6 +283,50 @@ func benchBudgetSweep(b *testing.B, snapshots bool) {
 
 func BenchmarkBudgetSweepCold(b *testing.B)   { benchBudgetSweep(b, false) }
 func BenchmarkBudgetSweepResume(b *testing.B) { benchBudgetSweep(b, true) }
+
+// snapshotState runs tage-sc-l+imli, the largest registry snapshot,
+// over 20K records of SPEC2K6-12 and returns it with its encoded state.
+func snapshotState(b *testing.B) (snap.Snapshotter, []byte) {
+	b.Helper()
+	bench, err := workload.ByName("SPEC2K6-12")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := predictor.MustNew("tage-sc-l+imli")
+	sim.Feed(p, bench.Name, func(emit func(trace.Record)) { bench.Generate(20000, emit) })
+	sp := p.(snap.Snapshotter)
+	e := snap.NewEncoder()
+	sp.Snapshot(e)
+	return sp, e.Bytes()
+}
+
+// BenchmarkSnapshotEncode measures encoding a predictor snapshot the
+// way an exact chain does at a shard boundary: into an encoder
+// pre-sized from the previous payload.
+func BenchmarkSnapshotEncode(b *testing.B) {
+	sp, prev := snapshotState(b)
+	b.SetBytes(int64(len(prev)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp.Snapshot(snap.NewEncoderSize(len(prev)))
+	}
+}
+
+// BenchmarkSnapshotDecode measures restoring that snapshot into a
+// built predictor, the resume path's decode.
+func BenchmarkSnapshotDecode(b *testing.B) {
+	_, payload := snapshotState(b)
+	fresh := predictor.MustNew("tage-sc-l+imli").(snap.Snapshotter)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fresh.RestoreSnapshot(snap.NewDecoder(payload)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkStreamMaterialization isolates the one-time cost of
 // materializing a stream versus generating it through a callback.

@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/btb"
 	"repro/internal/cliflags"
@@ -87,6 +88,24 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 	if sources > 1 {
 		return fmt.Errorf("conflicting source flags: pass exactly one of -suite, -bench, -trace")
+	}
+	// A trace file runs whole and unsharded through sim.RunReader, not
+	// on the engine; name every engine flag that would be dropped.
+	if *traceFile != "" {
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "branches", "shards", "exact-shards", "parallel", "stream-mem":
+				ignored = append(ignored, "-"+f.Name)
+			case "cache-dir":
+				if !*cachePrune {
+					ignored = append(ignored, "-cache-dir")
+				}
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("%s cannot be used with -trace, which simulates the whole file unsharded, outside the engine", strings.Join(ignored, ", "))
+		}
 	}
 	// The target report replays one synthetic benchmark; every other
 	// mode would drop it without a word.

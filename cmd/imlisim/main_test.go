@@ -2,9 +2,13 @@ package main
 
 import (
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestRunBench(t *testing.T) {
@@ -294,5 +298,70 @@ func TestRunTargetsNeedsBench(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "targets:") {
 		t.Errorf("-bench -targets printed no target report: %q", out.String())
+	}
+}
+
+// writeTrace writes the first records of a synthetic benchmark as a
+// trace file and returns its path.
+func writeTrace(t *testing.T, bench string, records int) string {
+	t.Helper()
+	b, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), bench+".imlt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := trace.NewWriter(f, b.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Generate(records, func(r trace.Record) {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestRunTraceRejectsEngineFlags(t *testing.T) {
+	// A trace file runs whole and unsharded outside the engine; these
+	// flags used to be dropped without a word and the run exited 0.
+	path := writeTrace(t, "MM-4", 2000)
+	cache := filepath.Join(t.TempDir(), "cache")
+	for _, flagArg := range []string{"-branches=7", "-shards=4", "-exact-shards", "-parallel=2", "-stream-mem=8", "-cache-dir=" + cache} {
+		var out strings.Builder
+		err := run([]string{"-predictor=gshare", "-trace=" + path, flagArg}, &out, io.Discard)
+		name := strings.SplitN(flagArg, "=", 2)[0]
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want an error naming %s", flagArg, err, name)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s printed %q", flagArg, out.String())
+		}
+	}
+	if _, err := os.Stat(cache); !os.IsNotExist(err) {
+		t.Errorf("a rejected -trace run created its -cache-dir: %v", err)
+	}
+
+	// The plain trace run, and -cache-dir alongside -cache-prune, still
+	// work.
+	for _, args := range [][]string{
+		{"-predictor=gshare", "-trace=" + path},
+		{"-predictor=gshare", "-trace=" + path, "-cache-prune", "-cache-dir=" + cache},
+	} {
+		var out strings.Builder
+		if err := run(args, &out, io.Discard); err != nil {
+			t.Fatalf("args %v: %v", args, err)
+		}
+		if !strings.Contains(out.String(), "MM-4") {
+			t.Errorf("args %v printed no result line: %q", args, out.String())
+		}
 	}
 }

@@ -48,6 +48,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := cliflags.Positive("branches", *branches); err != nil {
 		return err
 	}
+	if *hot < 0 {
+		return fmt.Errorf("-hot must not be negative, got %d", *hot)
+	}
 
 	if *bench != "" && *traceFile != "" {
 		return fmt.Errorf("conflicting source flags: pass exactly one of -bench or -trace")

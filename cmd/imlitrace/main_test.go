@@ -49,3 +49,22 @@ func TestRunRejectsNonPositiveBranches(t *testing.T) {
 		}
 	}
 }
+
+func TestRunRejectsNegativeHot(t *testing.T) {
+	// -hot=-1 used to print the header, then panic slicing the site list.
+	var out strings.Builder
+	err := run([]string{"-bench=MM-4", "-branches=1000", "-hot=-1"}, &out, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-hot") {
+		t.Errorf("err = %v, want an error naming -hot", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-hot=-1 printed an analysis:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run([]string{"-bench=MM-4", "-branches=1000", "-hot=0"}, &out, io.Discard); err != nil {
+		t.Fatalf("-hot=0: %v", err)
+	}
+	if !strings.Contains(out.String(), "hottest 0 sites") {
+		t.Errorf("-hot=0 output:\n%s", out.String())
+	}
+}

@@ -33,7 +33,7 @@ const snapPkg = "repro/internal/snap"
 // a value; their results are "tainted" for control-flow purposes.
 var reads = map[string]bool{
 	"U8": true, "I8": true, "Bool": true, "U16": true, "U32": true,
-	"U64": true, "I64": true, "Int": true, "String": true,
+	"U64": true, "I64": true, "Int": true, "String": true, "Span": true,
 }
 
 // consuming are the Decoder methods that advance the stream at all —
@@ -41,7 +41,7 @@ var reads = map[string]bool{
 var consuming = map[string]bool{
 	"U8": true, "I8": true, "Bool": true, "U16": true, "U32": true,
 	"U64": true, "I64": true, "Int": true, "Expect": true, "VarLen": true,
-	"String": true,
+	"String": true, "Span": true,
 	"Uint8s": true, "Int8s": true, "Uint16s": true, "Uint32s": true, "Uint64s": true,
 }
 

@@ -85,3 +85,26 @@ func decodeRecord(d *snap.Decoder) (string, string, error) {
 	name := d.String()
 	return id, name, d.Err()
 }
+
+// decodeSpan reads a table as one span sized by geometry and fills it
+// in a loop over the receiver's own slice: sanctioned.
+func (t *T) decodeSpan(d *snap.Decoder) error {
+	b := d.Span(len(t.geom))
+	if err := d.Err(); err != nil {
+		return err
+	}
+	for i := range t.geom {
+		t.geom[i] = b[i]
+	}
+	return nil
+}
+
+// spanDriven chooses what to read next from span bytes: flagged like
+// any other decoded value.
+func spanDriven(d *snap.Decoder) uint64 {
+	b := d.Span(1)
+	if b[0] != 0 {
+		return d.U64() // want `configuration-driven`
+	}
+	return 0
+}

@@ -20,8 +20,11 @@ import (
 // returned. Version 2: unambiguous (JSON) store-key encoding.
 // Version 3: versioned store layout (v<N>/ directories), predictor
 // snapshots, and the Exact key field. Version 4: an exact shard chain
-// is one merged result entry at the former shard-0 address.
-const EngineVersion = 4
+// is one merged result entry at the former shard-0 address. Version 5:
+// snapshot files are packs (Store.SaveSnapshots); the bump gives them a
+// tree of their own, where version 4 binaries, which would quarantine
+// them, never look.
+const EngineVersion = 5
 
 // DefaultShardWarmup is the functional warm-up length (in branch
 // records) every warm-up shard the engine schedules trains on before
@@ -266,8 +269,9 @@ func (e *Engine) RunSuite(builder func() predictor.Predictor, name, suite string
 // When ctx is canceled the run stops scheduling work items and returns
 // the context's error; the partial SuiteRun must be discarded (skipped
 // benchmarks read as zero results), but every item that did complete
-// was stored normally — and a canceled exact chain left a snapshot at
-// each shard boundary it crossed — so a re-run is incremental. onItem,
+// was stored normally — and a canceled exact chain saved a snapshot at
+// each shard boundary it crossed when it stopped — so a re-run is
+// incremental. onItem,
 // when non-nil, is invoked once per shard as it completes (an exact
 // chain reports each shard as it crosses that shard's end); calls are
 // serialized and Done is strictly increasing, so callers may forward
@@ -402,12 +406,13 @@ func (e *Engine) loadItem(item ItemSpec, emit func(shard int, hit bool)) (Result
 // unmeasured through the window, and measures its segment. Unsharded
 // runs and exact chains measure the whole stream from record 0; with
 // the snapshot layer on they first resume from the longest cached
-// prefix within the budget and save their state at the end, and an
+// prefix within the budget and snapshot their state at the end, and an
 // exact chain also at every shard boundary it crosses (DESIGN.md §8),
 // which is what makes its merged counters bit-identical to the
-// unsharded run. A canceled ctx stops the item at its next shard
-// boundary, unstored; an exact chain keeps the boundary snapshots it
-// already took.
+// unsharded run. The item holds those snapshots in memory and saves
+// them as one pack when it ends. A canceled ctx stops the item at its
+// next shard boundary, unstored; an exact chain still saves the
+// boundary snapshots it took.
 func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Predictor, b workload.Benchmark, item ItemSpec, emit func(shard int, hit bool)) Result {
 	if res, ok := e.loadItem(item, emit); ok {
 		return res
@@ -430,12 +435,17 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 	var p predictor.Predictor
 	var res Result
 	canSnapshot := e.store != nil && (chain || e.exact && shards == 1)
+	group := SnapKey{Engine: EngineVersion, Config: item.Config, Suite: item.Suite, Trace: b.Name, Seed: b.Seed}
+	// taken holds the boundary snapshots until the item ends; sizeHint
+	// is the last payload's length, which the next one will be close to.
+	var taken []SnapEntry
+	sizeHint := 0
 	if canSnapshot {
-		if rp, part, pos := e.resume(builder, item.Config, item.Suite, b, budget); rp != nil {
+		if rp, part, pos, size := e.resume(builder, group, budget); rp != nil {
 			// The snapshot carries both the exact predictor state at
 			// pos and the counters measured over [0, pos); measurement
 			// continues at pos.
-			p, res, skip, start = rp, part, pos, pos
+			p, res, skip, start, sizeHint = rp, part, pos, pos, size
 		}
 	}
 	if p == nil {
@@ -451,6 +461,10 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 		// A chain segment behind the resume point is already in res.
 		if segEnd > start {
 			if ctx.Err() != nil {
+				if canSnapshot {
+					// Best-effort, like every store write below.
+					_ = e.store.SaveSnapshots(group, taken)
+				}
 				return Result{}
 			}
 			part, finalPos, fed := e.feedWindow(p, b, budget, skip, start, segEnd)
@@ -460,7 +474,10 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 			if canSnapshot && finalPos > 0 {
 				// Measurement runs from record 0 here, so res is the
 				// resume payload for [0, finalPos).
-				e.saveSnapshot(p, item.Config, item.Suite, b, finalPos, res)
+				if en, ok := e.snapshot(p, group, finalPos, res, sizeHint); ok {
+					taken = append(taken, en)
+					sizeHint = len(en.Payload)
+				}
 			}
 		}
 		emit(s, false)
@@ -469,23 +486,23 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 	if e.store != nil {
 		// Best-effort: a full disk or read-only cache directory must
 		// not fail the simulation; the run simply stays uncached.
+		_ = e.store.SaveSnapshots(group, taken)
 		_ = e.store.Save(item.key(), res)
 	}
 	return res
 }
 
 // resume restores the state at the largest cached snapshot position in
-// (0, limit] into a fresh predictor, returning it with the counters
-// measured over [0, pos) and pos. A payload that fails to decode is
-// quarantined, so the next run that reaches pos rewrites it, and the
-// scan falls back to the next shorter prefix. Returns (nil, _, 0) when
-// no snapshot applies (none cached, no store, or the predictor is not
-// a Snapshotter).
-func (e *Engine) resume(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, limit int) (predictor.Predictor, Result, int) {
+// (0, limit] of group into a fresh predictor, returning it with the
+// counters measured over [0, pos), pos, and the payload's size. A
+// payload that fails to decode is quarantined, so the next run that
+// reaches pos rewrites it, and the scan falls back to the next shorter
+// prefix. Returns (nil, _, 0, 0) when no snapshot applies (none
+// cached, no store, or the predictor is not a Snapshotter).
+func (e *Engine) resume(builder func() predictor.Predictor, group SnapKey, limit int) (predictor.Predictor, Result, int, int) {
 	if e.store == nil {
-		return nil, Result{}, 0
+		return nil, Result{}, 0, 0
 	}
-	group := SnapKey{Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name, Seed: b.Seed}
 	for _, pos := range e.store.SnapshotPositions(group) {
 		// A snapshot past the limit would overshoot the measurement
 		// window (a shorter run cannot un-simulate); positions are
@@ -502,7 +519,7 @@ func (e *Engine) resume(builder func() predictor.Predictor, config, suite string
 		p := builder()
 		sp, ok := p.(snap.Snapshotter)
 		if !ok {
-			return nil, Result{}, 0
+			return nil, Result{}, 0, 0
 		}
 		partial, err := decodeSimState(payload, sp)
 		if err != nil {
@@ -511,29 +528,34 @@ func (e *Engine) resume(builder func() predictor.Predictor, config, suite string
 			continue
 		}
 		e.resumed.Add(1)
-		return p, partial, pos
+		return p, partial, pos, len(payload)
 	}
-	return nil, Result{}, 0
+	return nil, Result{}, 0, 0
 }
 
-// saveSnapshot persists the predictor's state at stream position pos
-// together with the counters measured over [0, pos), best-effort.
-func (e *Engine) saveSnapshot(p predictor.Predictor, config, suite string, b workload.Benchmark, pos int, partial Result) {
+// snapshot encodes the predictor's state at stream position pos
+// together with the counters measured over [0, pos), unless the store
+// already holds that position or the predictor cannot snapshot.
+// sizeHint pre-sizes the encoder.
+func (e *Engine) snapshot(p predictor.Predictor, group SnapKey, pos int, partial Result, sizeHint int) (SnapEntry, bool) {
 	sp, ok := p.(snap.Snapshotter)
 	if !ok {
-		return
+		return SnapEntry{}, false
 	}
-	k := SnapKey{Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name, Seed: b.Seed, Pos: pos}
+	k := group
+	k.Pos = pos
 	if e.store.HasSnapshot(k) {
-		return
+		return SnapEntry{}, false
 	}
-	_ = e.store.SaveSnapshot(k, encodeSimState(partial, sp))
+	return SnapEntry{Pos: pos, Payload: encodeSimState(partial, sp, sizeHint)}, true
 }
 
 // encodeSimState serializes a snapshot payload: the partial result
 // counters over the simulated prefix, then the full predictor state.
-func encodeSimState(partial Result, p snap.Snapshotter) []byte {
-	enc := snap.NewEncoder()
+// The encoder starts with room for sizeHint bytes, and every call
+// returns a buffer of its own.
+func encodeSimState(partial Result, p snap.Snapshotter, sizeHint int) []byte {
+	enc := snap.NewEncoderSize(sizeHint)
 	enc.Begin("simstate", 1)
 	enc.U64(partial.Instructions)
 	enc.U64(partial.Records)

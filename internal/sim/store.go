@@ -2,9 +2,12 @@ package sim
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -77,13 +80,18 @@ func (k Key) id() string { return hashJSON(k) }
 // (v<EngineVersion>/), so bumping the version orphans — and Prune can
 // delete — every stale entry. Concurrent readers and writers
 // (including separate processes sharing the directory) are safe:
-// writes go to a temp file and are renamed into place atomically.
+// writes go to a temp file and are renamed or hard-linked into place
+// atomically.
 //
 // Layout:
 //
 //	<dir>/v<N>/<id[:2]>/<id[2:]>.json   work-item results
 //	<dir>/v<N>/snap/<gid>/<pos>.snap    snapshots, grouped per
 //	                                    (config, suite, trace, seed)
+//
+// A snapshot file is a pack holding one or more positions of its group
+// (SaveSnapshots); every <pos>.snap name of a pack is a hard link to
+// the same file.
 type Store struct {
 	dir string
 }
@@ -162,30 +170,40 @@ func (s *Store) quarantine(path string) {
 // writeAtomic writes data to path via a temp file + rename, creating
 // parent directories as needed and never stranding the temp file.
 func (s *Store) writeAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := writeTemp(filepath.Dir(path), data)
 	if err != nil {
 		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		// Don't strand the temp file: a rename that fails (destination
+		// became a directory, cross-mount surprises, ...) would
+		// otherwise leave .tmp-* litter accumulating in the cache.
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
+// writeTemp writes data to a new .tmp-* file in dir, creating dir as
+// needed, and returns the file's path. On error no file is left.
+func writeTemp(dir string, data []byte) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return "", err
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return err
+		return "", err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return "", err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		// Don't strand the temp file: a rename that fails (destination
-		// became a directory, cross-mount surprises, ...) would
-		// otherwise leave .tmp-* litter accumulating in the cache.
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return tmp.Name(), nil
 }
 
 // snapGroupDir returns the directory holding every snapshot of one
@@ -202,60 +220,203 @@ func (s *Store) snapPath(k SnapKey) string {
 	return filepath.Join(s.snapGroupDir(k), strconv.Itoa(k.Pos)+".snap")
 }
 
-// snapMagic guards snapshot files; the key JSON after it makes entries
-// self-describing, like result entries.
-const snapMagic = "imlisnap1\n"
+// snapMagic opens every snapshot pack. A pack is
+//
+//	snapMagic
+//	u32 key length, group key JSON (the SnapKey with Pos 0)
+//	u32 entry count, then per entry: u64 pos, u64 payload length
+//	the payloads, in index order
+//
+// with little-endian integers. The key makes packs self-describing,
+// like result entries; the index lets a load read one payload.
+const snapMagic = "imlisnap2\n"
 
-// SaveSnapshot persists a snapshot payload under the key, atomically.
-// The payload is opaque to the store (the engine encodes partial
-// counters plus the predictor state through internal/snap).
+// SnapEntry is one snapshot of a pack: the payload at stream position
+// Pos.
+type SnapEntry struct {
+	Pos     int
+	Payload []byte
+}
+
+// encodePack lays out a pack of the entries for group's key.
+func encodePack(group SnapKey, entries []SnapEntry) []byte {
+	group.Pos = 0
+	kj, err := json.Marshal(group)
+	if err != nil {
+		panic(fmt.Sprintf("sim: snapshot key encoding: %v", err))
+	}
+	size := len(snapMagic) + 4 + len(kj) + 4 + 16*len(entries)
+	for _, en := range entries {
+		size += len(en.Payload)
+	}
+	data := make([]byte, 0, size)
+	data = append(data, snapMagic...)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(kj)))
+	data = append(data, kj...)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(entries)))
+	for _, en := range entries {
+		data = binary.LittleEndian.AppendUint64(data, uint64(en.Pos))
+		data = binary.LittleEndian.AppendUint64(data, uint64(len(en.Payload)))
+	}
+	for _, en := range entries {
+		data = append(data, en.Payload...)
+	}
+	return data
+}
+
+// errPackFraming marks a snapshot file that is not a pack of the
+// requested group listing the requested position inside the file.
+var errPackFraming = errors.New("sim: snapshot pack framing")
+
+// readPackEntry returns the payload at pos from the pack file f. It
+// checks the magic, that the pack belongs to group, and that the index
+// lists pos with a payload inside the file; any of those failing is
+// errPackFraming. Every length is checked against the file size before
+// it is allocated or read.
+func readPackEntry(f *os.File, group SnapKey, pos int) ([]byte, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := info.Size()
+	sr := io.NewSectionReader(f, 0, size)
+	off := int64(0)
+	next := func(n int64) ([]byte, error) {
+		if n > size-off {
+			return nil, errPackFraming
+		}
+		b := make([]byte, n)
+		if _, err := io.ReadFull(sr, b); err != nil {
+			return nil, err
+		}
+		off += n
+		return b, nil
+	}
+	head, err := next(int64(len(snapMagic)) + 4)
+	if err != nil {
+		return nil, err
+	}
+	if string(head[:len(snapMagic)]) != snapMagic {
+		return nil, errPackFraming
+	}
+	kj, err := next(int64(binary.LittleEndian.Uint32(head[len(snapMagic):])))
+	if err != nil {
+		return nil, err
+	}
+	var got SnapKey
+	if json.Unmarshal(kj, &got) != nil || got != group {
+		return nil, errPackFraming
+	}
+	count, err := next(4)
+	if err != nil {
+		return nil, err
+	}
+	index, err := next(16 * int64(binary.LittleEndian.Uint32(count)))
+	if err != nil {
+		return nil, err
+	}
+	for ; len(index) > 0; index = index[16:] {
+		n := binary.LittleEndian.Uint64(index[8:])
+		if n > uint64(size-off) {
+			return nil, errPackFraming
+		}
+		if binary.LittleEndian.Uint64(index) == uint64(pos) {
+			payload := make([]byte, n)
+			if _, err := io.ReadFull(io.NewSectionReader(f, off, int64(n)), payload); err != nil {
+				return nil, err
+			}
+			return payload, nil
+		}
+		off += int64(n)
+	}
+	return nil, errPackFraming
+}
+
+// SaveSnapshot persists a snapshot payload under the key, atomically,
+// as a one-entry pack; it replaces any file at the key's name. The
+// payload is opaque to the store (the engine encodes partial counters
+// plus the predictor state through internal/snap).
 func (s *Store) SaveSnapshot(k SnapKey, payload []byte) error {
 	if err := faultinject.Err("sim/store.savesnap"); err != nil {
 		return err
 	}
-	kj, err := json.Marshal(k)
-	if err != nil {
-		panic(fmt.Sprintf("sim: snapshot key encoding: %v", err))
+	return s.writeAtomic(s.snapPath(k), encodePack(k, []SnapEntry{{Pos: k.Pos, Payload: payload}}))
+}
+
+// SaveSnapshots persists snapshots of one (engine, config, suite,
+// trace, seed) group as one pack file: the pack is written once under
+// a temp name and each entry's <pos>.snap name becomes a hard link to
+// it, so an exact chain's boundary snapshots cost one file, not one
+// per position. group's Pos is ignored. A position whose link fails (a
+// filesystem without hard links, a link limit, a name another engine
+// saved meanwhile, or an injected "sim/store.link" fault) falls back
+// to SaveSnapshot. The temp name is removed in every case. It returns
+// the first error.
+func (s *Store) SaveSnapshots(group SnapKey, entries []SnapEntry) error {
+	if len(entries) == 0 {
+		return nil
 	}
-	data := make([]byte, 0, len(snapMagic)+4+len(kj)+len(payload))
-	data = append(data, snapMagic...)
-	data = append(data, byte(len(kj)), byte(len(kj)>>8), byte(len(kj)>>16), byte(len(kj)>>24))
-	data = append(data, kj...)
-	data = append(data, payload...)
-	return s.writeAtomic(s.snapPath(k), data)
+	if err := faultinject.Err("sim/store.savesnap"); err != nil {
+		return err
+	}
+	group.Pos = 0
+	tmp, err := writeTemp(s.snapGroupDir(group), encodePack(group, entries))
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp)
+	var firstErr error
+	for _, en := range entries {
+		k := group
+		k.Pos = en.Pos
+		if linkSnapshot(tmp, s.snapPath(k)) == nil {
+			continue
+		}
+		if err := s.SaveSnapshot(k, en.Payload); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// linkSnapshot makes name a hard link to the pack at tmp.
+func linkSnapshot(tmp, name string) error {
+	if err := faultinject.Err("sim/store.link"); err != nil {
+		return err
+	}
+	return os.Link(tmp, name)
 }
 
 // LoadSnapshot returns the snapshot payload for the key. A missing
 // file (or an injected "sim/store.loadsnap" fault) reads as a cache
-// miss; a snapshot that exists but fails its framing (magic, length,
-// key) is quarantined like a corrupt result entry, so resume stops
-// retrying a poisoned position and a later run rewrites it.
+// miss; a file that exists but is not a pack of the key's group
+// listing the key's position inside the file (magic, key, index) is
+// quarantined like a corrupt result entry, so resume stops retrying a
+// poisoned position and a later run rewrites it. Quarantine renames
+// only the key's own name; other positions linked to the same pack
+// stay readable.
 func (s *Store) LoadSnapshot(k SnapKey) ([]byte, bool) {
 	if faultinject.Err("sim/store.loadsnap") != nil {
 		return nil, false
 	}
 	path := s.snapPath(k)
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false
 	}
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		s.quarantine(path)
+	group := k
+	group.Pos = 0
+	payload, err := readPackEntry(f, group, k.Pos)
+	// Closed before a quarantine renames it: some systems cannot rename
+	// an open file.
+	f.Close()
+	if err != nil {
+		if errors.Is(err, errPackFraming) {
+			s.quarantine(path)
+		}
 		return nil, false
 	}
-	data = data[len(snapMagic):]
-	n := int(data[0]) | int(data[1])<<8 | int(data[2])<<16 | int(data[3])<<24
-	data = data[4:]
-	if n < 0 || n > len(data) {
-		s.quarantine(path)
-		return nil, false
-	}
-	var got SnapKey
-	if json.Unmarshal(data[:n], &got) != nil || got != k {
-		s.quarantine(path)
-		return nil, false
-	}
-	return data[n:], true
+	return payload, true
 }
 
 // quarantineSnapshot moves a snapshot whose framing is valid but whose
@@ -297,7 +458,9 @@ func (s *Store) SnapshotPositions(k SnapKey) []int {
 
 // PruneStats reports what Prune removed.
 type PruneStats struct {
-	// Files and Bytes count the removed cache entries.
+	// Files counts the removed cache entries (file names); Bytes
+	// counts their disk bytes, a pack linked under several names
+	// once.
 	Files int
 	Bytes int64
 	// Dirs counts the removed directory trees: stale v<k> version
@@ -432,16 +595,29 @@ func isLegacyFanoutDir(path string) bool {
 	return true
 }
 
-// duDir counts the regular files and bytes under path, best-effort.
+// duDir counts the regular files and bytes under path, best-effort. A
+// file with several names (a snapshot pack's hard links) counts once
+// per name in files and once in bytes. Links share size and
+// modification time, so only files alike in both are compared.
 func duDir(path string) (files int, bytes int64) {
+	seen := map[[2]int64][]fs.FileInfo{}
 	filepath.WalkDir(path, func(_ string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return nil
 		}
-		if info, err := d.Info(); err == nil {
-			files++
-			bytes += info.Size()
+		info, err := d.Info()
+		if err != nil {
+			return nil
 		}
+		files++
+		id := [2]int64{info.Size(), info.ModTime().UnixNano()}
+		for _, prev := range seen[id] {
+			if os.SameFile(prev, info) {
+				return nil
+			}
+		}
+		seen[id] = append(seen[id], info)
+		bytes += info.Size()
 		return nil
 	})
 	return

@@ -28,6 +28,7 @@ package snap
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Snapshotter is implemented by every component that can serialize its
@@ -54,11 +55,28 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
+// NewEncoderSize returns an empty encoder whose buffer holds n bytes
+// before it first grows. Callers that know roughly how large a
+// snapshot will be (the previous snapshot of the same predictor)
+// encode it with one allocation.
+func NewEncoderSize(n int) *Encoder { return &Encoder{buf: make([]byte, 0, max(n, 0))} }
+
 // Bytes returns the encoded stream.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Span appends n bytes to the stream and returns them for the caller
+// to fill; the caller must write every one of them. A table encoded
+// through one span costs one capacity check instead of one append per
+// field.
+func (e *Encoder) Span(n int) []byte {
+	e.buf = slices.Grow(e.buf, n)
+	start := len(e.buf)
+	e.buf = e.buf[:start+n]
+	return e.buf[start:]
+}
 
 // Begin writes a section header: the component name and its format
 // version. Decoder.Expect verifies both.
@@ -118,32 +136,36 @@ func (e *Encoder) Uint8s(v []uint8) {
 // Int8s appends a length-prefixed int8 slice.
 func (e *Encoder) Int8s(v []int8) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.buf = append(e.buf, uint8(x))
+	b := e.Span(len(v))
+	for i, x := range v {
+		b[i] = uint8(x)
 	}
 }
 
 // Uint16s appends a length-prefixed uint16 slice.
 func (e *Encoder) Uint16s(v []uint16) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U16(x)
+	b := e.Span(2 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint16(b[2*i:], x)
 	}
 }
 
 // Uint32s appends a length-prefixed uint32 slice.
 func (e *Encoder) Uint32s(v []uint32) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U32(x)
+	b := e.Span(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], x)
 	}
 }
 
 // Uint64s appends a length-prefixed uint64 slice.
 func (e *Encoder) Uint64s(v []uint64) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U64(x)
+	b := e.Span(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
 	}
 }
 
@@ -176,8 +198,17 @@ func (d *Decoder) Fail(format string, args ...any) {
 	}
 }
 
-func (d *Decoder) take(n int) []byte {
+// Span consumes and returns the next n bytes of the stream with one
+// bounds check, so a table decodes in a tight loop over the span. It
+// returns nil, recording the error, when fewer than n bytes remain;
+// after any error it returns nil. The span aliases the decoder's
+// input.
+func (d *Decoder) Span(n int) []byte {
 	if d.err != nil {
+		return nil
+	}
+	if n < 0 {
+		d.Fail("snap: negative span length %d at offset %d", n, d.off)
 		return nil
 	}
 	if d.Remaining() < n {
@@ -193,7 +224,7 @@ func (d *Decoder) take(n int) []byte {
 // component at the given version.
 func (d *Decoder) Expect(name string, version uint8) {
 	n := int(d.U8())
-	b := d.take(n)
+	b := d.Span(n)
 	if d.err != nil {
 		return
 	}
@@ -208,7 +239,7 @@ func (d *Decoder) Expect(name string, version uint8) {
 
 // U8 reads one byte.
 func (d *Decoder) U8() uint8 {
-	b := d.take(1)
+	b := d.Span(1)
 	if b == nil {
 		return 0
 	}
@@ -223,7 +254,7 @@ func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
 // U16 reads a little-endian uint16.
 func (d *Decoder) U16() uint16 {
-	b := d.take(2)
+	b := d.Span(2)
 	if b == nil {
 		return 0
 	}
@@ -232,7 +263,7 @@ func (d *Decoder) U16() uint16 {
 
 // U32 reads a little-endian uint32.
 func (d *Decoder) U32() uint32 {
-	b := d.take(4)
+	b := d.Span(4)
 	if b == nil {
 		return 0
 	}
@@ -241,7 +272,7 @@ func (d *Decoder) U32() uint32 {
 
 // U64 reads a little-endian uint64.
 func (d *Decoder) U64() uint64 {
-	b := d.take(8)
+	b := d.Span(8)
 	if b == nil {
 		return 0
 	}
@@ -296,7 +327,7 @@ func (d *Decoder) VarLen(perItem int) int {
 // they must not drive further decoder reads.
 func (d *Decoder) String() string {
 	n := d.VarLen(1)
-	b := d.take(n)
+	b := d.Span(n)
 	if b == nil {
 		return ""
 	}
@@ -309,7 +340,7 @@ func (d *Decoder) Uint8s(dst []uint8) {
 	if !d.listLen(len(dst)) {
 		return
 	}
-	b := d.take(len(dst))
+	b := d.Span(len(dst))
 	if b != nil {
 		copy(dst, b)
 	}
@@ -320,7 +351,7 @@ func (d *Decoder) Int8s(dst []int8) {
 	if !d.listLen(len(dst)) {
 		return
 	}
-	b := d.take(len(dst))
+	b := d.Span(len(dst))
 	if b == nil {
 		return
 	}
@@ -334,7 +365,7 @@ func (d *Decoder) Uint16s(dst []uint16) {
 	if !d.listLen(len(dst)) {
 		return
 	}
-	b := d.take(2 * len(dst))
+	b := d.Span(2 * len(dst))
 	if b == nil {
 		return
 	}
@@ -348,7 +379,7 @@ func (d *Decoder) Uint32s(dst []uint32) {
 	if !d.listLen(len(dst)) {
 		return
 	}
-	b := d.take(4 * len(dst))
+	b := d.Span(4 * len(dst))
 	if b == nil {
 		return
 	}
@@ -362,7 +393,7 @@ func (d *Decoder) Uint64s(dst []uint64) {
 	if !d.listLen(len(dst)) {
 		return
 	}
-	b := d.take(8 * len(dst))
+	b := d.Span(8 * len(dst))
 	if b == nil {
 		return
 	}

@@ -213,3 +213,33 @@ func TestStringBoundsAllocation(t *testing.T) {
 		t.Fatal("oversized string length not detected")
 	}
 }
+
+func TestSpanRoundTrip(t *testing.T) {
+	// A span written by the encoder reads back as the same bytes, and
+	// a pre-sized encoder writes what a bare one does.
+	for _, e := range []*Encoder{NewEncoder(), NewEncoderSize(64), NewEncoderSize(-1)} {
+		e.U8(7)
+		copy(e.Span(3), []byte{1, 2, 3})
+		e.Uint16s([]uint16{0xbeef})
+		if got, want := e.Bytes(), []byte{7, 1, 2, 3, 1, 0, 0, 0, 0xef, 0xbe}; string(got) != string(want) {
+			t.Errorf("encoded % x, want % x", got, want)
+		}
+		d := NewDecoder(e.Bytes())
+		d.U8()
+		if got := d.Span(3); string(got) != "\x01\x02\x03" || d.Err() != nil {
+			t.Errorf("Span(3) = % x, err %v", got, d.Err())
+		}
+	}
+}
+
+func TestSpanFailsWithoutPanic(t *testing.T) {
+	for _, n := range []int{-1, 5} {
+		d := NewDecoder([]byte{1, 2, 3, 4})
+		if got := d.Span(n); got != nil || d.Err() == nil {
+			t.Errorf("Span(%d) over 4 bytes = % x, err %v; want nil and an error", n, got, d.Err())
+		}
+		if d.Span(1) != nil || d.U8() != 0 {
+			t.Errorf("Span(%d): reads after the error are not empty", n)
+		}
+	}
+}

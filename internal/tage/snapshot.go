@@ -8,7 +8,8 @@ import "repro/internal/snap"
 // (allocation randomisation consumes the PRNG, so bit-exact resume
 // must resume it). The folded registers live in the shared FoldedBank
 // and snapshot there; the per-branch index/tag scratch is dead at a
-// branch boundary and is not state.
+// branch boundary and is not state. Each tagged table is one span of
+// 4-byte entries: ctr, tag (little-endian), u.
 func (p *Predictor) Snapshot(e *snap.Encoder) {
 	e.Begin("tage", 1)
 	p.base.Snapshot(e)
@@ -16,10 +17,10 @@ func (p *Predictor) Snapshot(e *snap.Encoder) {
 	for i := range p.tables {
 		t := &p.tables[i]
 		e.U32(uint32(len(t.entries)))
+		b := e.Span(4 * len(t.entries))
 		for j := range t.entries {
-			e.I8(t.entries[j].ctr)
-			e.U16(t.entries[j].tag)
-			e.U8(t.entries[j].u)
+			en, s := &t.entries[j], b[4*j:4*j+4]
+			s[0], s[1], s[2], s[3] = uint8(en.ctr), uint8(en.tag), uint8(en.tag>>8), en.u
 		}
 	}
 	e.I8(p.useAltOnNA)
@@ -41,13 +42,13 @@ func (p *Predictor) RestoreSnapshot(d *snap.Decoder) error {
 		if n := int(d.U32()); d.Err() == nil && n != len(t.entries) {
 			d.Fail("tage: table %d has %d entries where %d expected", i, n, len(t.entries))
 		}
-		if d.Err() != nil {
-			return d.Err()
+		b := d.Span(4 * len(t.entries))
+		if err := d.Err(); err != nil {
+			return err
 		}
 		for j := range t.entries {
-			t.entries[j].ctr = d.I8()
-			t.entries[j].tag = d.U16()
-			t.entries[j].u = d.U8()
+			en, s := &t.entries[j], b[4*j:4*j+4]
+			en.ctr, en.tag, en.u = int8(s[0]), uint16(s[1])|uint16(s[2])<<8, s[3]
 		}
 	}
 	useAlt := d.I8()
