@@ -121,6 +121,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if *rateLimit < 0 {
 		return fmt.Errorf("-rate-limit must be >= 0, got %g", *rateLimit)
 	}
+	engCfg, err := eng.Config()
+	if err != nil {
+		return err
+	}
 
 	var jnl *journal.Journal
 	path := *journalPath
@@ -138,7 +142,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	engCfg := eng.Config()
 	var coord *dist.Coordinator
 	var workHandler http.Handler
 	if dflags.Coordinator {

@@ -61,6 +61,9 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-drain-timeout=0s", "-once"}, "-drain-timeout"},
 		{[]string{"-drain-timeout=-5s", "-once"}, "-drain-timeout"},
 		{[]string{"-rate-limit=-1", "-once"}, "-rate-limit"},
+		{[]string{"-shards=0", "-once"}, "-shards"},
+		{[]string{"-shards=-3", "-once"}, "-shards"},
+		{[]string{"-parallel=-3", "-once"}, "-parallel"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args, io.Discard, io.Discard)

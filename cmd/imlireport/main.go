@@ -76,6 +76,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := cliflags.Positive("branches", *branches); err != nil {
 		return err
 	}
+	engCfg, err := eng.Config()
+	if err != nil {
+		return err
+	}
 	seedList, err := cliflags.SeedList(*seeds)
 	if err != nil {
 		return err
@@ -84,7 +88,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	params := experiments.Params{Budget: *branches, Seeds: seedList, Engine: sim.NewEngine(eng.Config())}
+	params := experiments.Params{Budget: *branches, Seeds: seedList, Engine: sim.NewEngine(engCfg)}
 	if !*quiet {
 		params.Progress = stderr
 	}

@@ -124,6 +124,23 @@ func TestRunRejectsNonPositiveBranches(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadEngineFlags: -shards below 1 and a negative
+// -parallel are errors naming the flag, not a rendered document.
+func TestRunRejectsBadEngineFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, want string }{
+		{"-shards=0", "-shards"}, {"-shards=-3", "-shards"}, {"-parallel=-3", "-parallel"},
+	} {
+		var stdout strings.Builder
+		err := run([]string{"-out=-", "-exp=storage", "-branches=1000", tc.flag}, &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.flag, err, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s rendered a document:\n%s", tc.flag, stdout.String())
+		}
+	}
+}
+
 func TestRunSeedsExperiment(t *testing.T) {
 	var stdout strings.Builder
 	err := run([]string{"-out=-", "-exp=seeds", "-branches=1500", "-seeds=2", "-q"},

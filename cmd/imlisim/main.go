@@ -77,6 +77,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := cliflags.Positive("branches", *branches); err != nil {
 		return err
 	}
+	engCfg, err := eng.Config()
+	if err != nil {
+		return err
+	}
 
 	// The three source flags are mutually exclusive: silently ignoring
 	// one would report numbers for a different workload than asked.
@@ -146,7 +150,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	engine := sim.NewEngine(eng.Config())
+	engine := sim.NewEngine(engCfg)
 	switch {
 	case *listPredictors:
 		names := predictor.Names()

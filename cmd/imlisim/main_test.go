@@ -274,6 +274,24 @@ func TestRunRejectsNonPositiveBranches(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadEngineFlags: -shards below 1 and a negative
+// -parallel are errors naming the flag. The engine used to replace them
+// with 1 shard and GOMAXPROCS workers, print an MPKI line and exit 0.
+func TestRunRejectsBadEngineFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, want string }{
+		{"-shards=-3", "-shards"}, {"-shards=0", "-shards"}, {"-parallel=-3", "-parallel"},
+	} {
+		var out strings.Builder
+		err := run([]string{"-predictor=gshare", "-bench=MM-4", "-branches=1000", tc.flag}, &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.flag, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s printed %q", tc.flag, out.String())
+		}
+	}
+}
+
 func TestRunTargetsNeedsBench(t *testing.T) {
 	// -targets reports on one synthetic benchmark; every other mode used
 	// to drop it silently and exit 0.

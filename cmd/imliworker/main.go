@@ -60,6 +60,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
+	engCfg, err := eng.Config()
+	if err != nil {
+		return err
+	}
 	url, err := cliflags.ParseWorkerURL(*coordinator)
 	if err != nil {
 		return err
@@ -82,7 +86,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 
 	// One engine shared by every slot: items from the same suite share
 	// the worker's stream cache and (with -cache-dir) its local store.
-	engine := sim.NewEngine(eng.Config())
+	engine := sim.NewEngine(engCfg)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

@@ -15,6 +15,8 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-coordinator", "host:8327"}, "scheme"},
 		{[]string{"-coordinator", "http://"}, "host"},
 		{[]string{"-coordinator", "http://h:1", "-slots=-2"}, "-slots"},
+		{[]string{"-shards=0"}, "-shards"},
+		{[]string{"-parallel=-3"}, "-parallel"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args, io.Discard, io.Discard)

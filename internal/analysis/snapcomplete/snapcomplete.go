@@ -12,11 +12,18 @@
 // ++/--, through an element write p.f[i] = v, or by taking its
 // address). Fields assigned only in constructors are configuration
 // (geometry, masks, wiring) and exempt: the §8 contract restores into
-// a freshly constructed instance of the identical configuration, so
-// construction-time state travels with the constructor, not the
-// snapshot. Intentionally unserialized mutable fields (dead at the
-// branch-boundary snapshot points, pure caches) must say so with
-// //lint:allow snapcomplete <reason> on their declaration.
+// an instance of the identical configuration, so construction-time
+// state travels with the constructor, not the snapshot. Intentionally
+// unserialized mutable fields (dead at the branch-boundary snapshot
+// points, pure caches) must say so with //lint:allow snapcomplete
+// <reason> on their declaration.
+//
+// The instance restored into may have simulated before: the engine
+// resets pooled predictors by restoring the snapshot their
+// configuration had when built (DESIGN.md §5). A mutable field this
+// check let through would carry one work item's state into the next.
+// This analyzer and TestSnapshotPristineResetEqualsFresh are what keep
+// a reset equal to a fresh build.
 package snapcomplete
 
 import (

@@ -82,11 +82,20 @@ func PositiveDuration(name string, v time.Duration) error {
 	return nil
 }
 
-// Config maps the parsed flags onto an engine configuration,
-// converting -stream-mem from MiB (a negative value stays negative,
-// which disables materialization).
-func (e *Engine) Config() sim.EngineConfig {
+// Config validates the parsed flags and maps them onto an engine
+// configuration, converting -stream-mem from MiB (a negative value
+// stays negative, which disables materialization). -shards must be at
+// least 1 and -parallel at least 0 (0 means GOMAXPROCS): the engine
+// would otherwise run a value below those as 1 shard or GOMAXPROCS
+// workers without a word.
+func (e *Engine) Config() (sim.EngineConfig, error) {
+	if e.Shards < 1 {
+		return sim.EngineConfig{}, fmt.Errorf("-shards must be at least 1, got %d", e.Shards)
+	}
+	if e.Workers < 0 {
+		return sim.EngineConfig{}, fmt.Errorf("-parallel must be >= 0 (0 = GOMAXPROCS), got %d", e.Workers)
+	}
 	cfg := e.EngineConfig
 	cfg.StreamMemory = int64(e.StreamMemMiB) << 20
-	return cfg
+	return cfg, nil
 }

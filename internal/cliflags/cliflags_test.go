@@ -88,8 +88,37 @@ func TestConfigMapsFlags(t *testing.T) {
 	if err := fs.Parse([]string{"-parallel", "4", "-shards", "3", "-exact-shards"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := e.Config()
-	if cfg.Workers != 4 || cfg.Shards != 3 || !cfg.ExactShards {
-		t.Errorf("Config() = %+v", cfg)
+	cfg, err := e.Config()
+	if err != nil || cfg.Workers != 4 || cfg.Shards != 3 || !cfg.ExactShards {
+		t.Errorf("Config() = %+v, %v", cfg, err)
+	}
+}
+
+// TestConfigRejectsBadEngineFlags: -shards below 1 and a negative
+// -parallel are errors naming the flag, not values the engine quietly
+// replaces; -parallel=0 keeps meaning GOMAXPROCS.
+func TestConfigRejectsBadEngineFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-shards", "0"}, "-shards"},
+		{[]string{"-shards", "-3"}, "-shards"},
+		{[]string{"-parallel", "-3"}, "-parallel"},
+		{[]string{"-parallel", "0"}, ""},
+		{[]string{"-shards", "1", "-parallel", "2"}, ""},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		e := Register(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.Config()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v rejected: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.want)
+		}
 	}
 }

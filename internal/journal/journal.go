@@ -189,11 +189,14 @@ func (j *Journal) replay() ([]Entry, error) {
 	off := len(header)
 	good := off
 	for len(data)-off >= 8 {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
+		// Bound the length as a u32 first: on a 32-bit platform a
+		// converted length of 2^31 or more would turn negative and pass.
+		n32 := binary.LittleEndian.Uint32(data[off:])
 		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxFrame || n > len(data)-off-8 {
+		if n32 > maxFrame || int(n32) > len(data)-off-8 {
 			break // torn or corrupt tail
 		}
+		n := int(n32)
 		payload := data[off+8 : off+8+n]
 		if crc32.ChecksumIEEE(payload) != sum {
 			break

@@ -71,8 +71,8 @@ func (c *Composite) Snapshot(e *snap.Encoder) {
 }
 
 // RestoreSnapshot implements Snapshotter. The receiver must be a
-// freshly built composite of the identical configuration; on error its
-// state is unspecified and it must be discarded.
+// composite of the identical configuration, freshly built or used; on
+// error its state is unspecified and it must be discarded.
 func (c *Composite) RestoreSnapshot(d *snap.Decoder) error {
 	d.Expect("composite", 1)
 	if got := d.U16(); d.Err() == nil && got != c.structBits() {

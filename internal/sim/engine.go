@@ -106,11 +106,14 @@ type EngineStats struct {
 
 // Engine executes (configuration × benchmark × shard) work items — one
 // chain item per benchmark under ExactShards — over a bounded worker
-// pool, merging per-shard results into per-benchmark Results. A fresh
-// predictor instance is built per work item (the CBP methodology:
-// traces — and here shards — are independent runs), except when a
-// cached snapshot supplies the exact state of a stream prefix
-// (ExactShards).
+// pool, merging per-shard results into per-benchmark Results. Every
+// work item starts from a predictor in its freshly built state (the CBP
+// methodology: traces — and here shards — are independent runs),
+// except when a cached snapshot supplies the exact state of a stream
+// prefix (ExactShards). That predictor is not necessarily a newly built
+// one: the engine keeps each configuration's finished predictors and
+// resets one to the configuration's pristine snapshot for the next item
+// (DESIGN.md §5).
 type Engine struct {
 	workers int
 	shards  int
@@ -126,7 +129,10 @@ type Engine struct {
 	sem chan struct{}
 	// remote, when non-nil, dispatches registry-rebuildable work items
 	// to another process (DESIGN.md §14).
-	remote    RemoteRunner
+	remote RemoteRunner
+	// pools holds each configuration name's predictor pool.
+	poolsMu   sync.Mutex
+	pools     map[string]*predictorPool
 	simulated atomic.Uint64
 	hits      atomic.Uint64
 	records   atomic.Uint64
@@ -154,6 +160,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		store: cfg.Store, streams: workload.NewStreamCache(cfg.StreamMemory, ""),
 		remote: cfg.Remote,
 		sem:    make(chan struct{}, cfg.Workers),
+		pools:  map[string]*predictorPool{},
 	}
 }
 
@@ -257,9 +264,9 @@ dispatch:
 
 // RunSuite simulates one configuration over every benchmark of a
 // suite. builder must build a fresh predictor per call; name labels
-// the configuration and keys the store (so it must uniquely identify
-// what builder builds). Results come back in benchmark order and are
-// deterministic regardless of worker count.
+// the configuration and keys the store and the engine's predictor pool
+// (so it must uniquely identify what builder builds). Results come back
+// in benchmark order and are deterministic regardless of worker count.
 func (e *Engine) RunSuite(builder func() predictor.Predictor, name, suite string, benches []workload.Benchmark, budget int) SuiteRun {
 	run, _ := e.RunSuiteContext(context.Background(), builder, name, suite, benches, budget, nil)
 	return run
@@ -318,11 +325,20 @@ func (e *Engine) RunSuiteContext(ctx context.Context, builder func() predictor.P
 // warm-up window or already incorporated in a restored snapshot),
 // records in [skip, start) train the predictor unmeasured, and records
 // in [start, end) are measured. It prefers the materialized stream
-// (DESIGN.md §6) and falls back to callback generation. Returns the
-// measured result, the stream position the predictor ended at, and the
-// number of records actually fed.
-func (e *Engine) feedWindow(p predictor.Predictor, b workload.Benchmark, budget, skip, start, end int) (res Result, finalPos, fed int) {
-	if stream := e.streams.Get(b, budget); stream != nil {
+// (DESIGN.md §6) and falls back to callback generation. once reports
+// that the item reads the stream a single time: the cache then
+// materializes it only for a key's second reader
+// (StreamCache.GetAdmitted). Returns the measured result, the stream
+// position the predictor ended at, and the number of records actually
+// fed.
+func (e *Engine) feedWindow(p predictor.Predictor, b workload.Benchmark, budget, skip, start, end int, once bool) (res Result, finalPos, fed int) {
+	var stream *workload.Stream
+	if once {
+		stream = e.streams.GetAdmitted(b, budget)
+	} else {
+		stream = e.streams.Get(b, budget)
+	}
+	if stream != nil {
 		// The materialized stream is the full Generate(budget) output
 		// including the episode-granular overshoot, so an unsharded
 		// run's unbounded window clamps to the identical record set a
@@ -399,11 +415,15 @@ func (e *Engine) loadItem(item ItemSpec, emit func(shard int, hit bool)) (Result
 // the engine's for local suite runs, the leased item's when a worker
 // daemon executes it (Engine.RunItem), so the store key and the
 // simulated window are those of the dispatching coordinator, not of
-// the worker's own configuration. A plain shard reads its window of
+// the worker's own configuration. The item's predictor comes from the
+// engine's pool for its configuration and goes back to it when the
+// item ends. A plain shard reads its window of
 // the benchmark's materialized stream (generated once per (trace,
 // seed, budget) and shared across shards and configurations; see
 // DESIGN.md §6), discards records before its warm-up window, trains
-// unmeasured through the window, and measures its segment. Unsharded
+// unmeasured through the window, and measures its segment. An
+// unsharded run reads its stream once, so it materializes the stream
+// only when the key was requested before. Unsharded
 // runs and exact chains measure the whole stream from record 0; with
 // the snapshot layer on they first resume from the longest cached
 // prefix within the budget and snapshot their state at the end, and an
@@ -432,6 +452,7 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 		end = start + workload.ShardBudget(budget, item.Shard, shards)
 		skip = max(start-item.Warmup, 0)
 	}
+	pool := e.pool(item.Config)
 	var p predictor.Predictor
 	var res Result
 	canSnapshot := e.store != nil && (chain || e.exact && shards == 1)
@@ -441,7 +462,7 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 	var taken []SnapEntry
 	sizeHint := 0
 	if canSnapshot {
-		if rp, part, pos, size := e.resume(builder, group, budget); rp != nil {
+		if rp, part, pos, size := e.resume(pool, builder, group, budget); rp != nil {
 			// The snapshot carries both the exact predictor state at
 			// pos and the counters measured over [0, pos); measurement
 			// continues at pos.
@@ -449,7 +470,7 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 		}
 	}
 	if p == nil {
-		p = builder()
+		p = pool.fresh(builder)
 	}
 	res.Trace, res.Predictor = b.Name, p.Name()
 	first, last := item.shardRange()
@@ -465,9 +486,10 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 					// Best-effort, like every store write below.
 					_ = e.store.SaveSnapshots(group, taken)
 				}
+				pool.put(p)
 				return Result{}
 			}
-			part, finalPos, fed := e.feedWindow(p, b, budget, skip, start, segEnd)
+			part, finalPos, fed := e.feedWindow(p, b, budget, skip, start, segEnd, shards == 1)
 			res = res.add(part)
 			skip, start = finalPos, finalPos
 			e.records.Add(uint64(fed))
@@ -482,6 +504,7 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 		}
 		emit(s, false)
 	}
+	pool.put(p)
 	e.simulated.Add(uint64(last - first))
 	if e.store != nil {
 		// Best-effort: a full disk or read-only cache directory must
@@ -493,13 +516,15 @@ func (e *Engine) runShardGeom(ctx context.Context, builder func() predictor.Pred
 }
 
 // resume restores the state at the largest cached snapshot position in
-// (0, limit] of group into a fresh predictor, returning it with the
-// counters measured over [0, pos), pos, and the payload's size. A
-// payload that fails to decode is quarantined, so the next run that
-// reaches pos rewrites it, and the scan falls back to the next shorter
-// prefix. Returns (nil, _, 0, 0) when no snapshot applies (none
+// (0, limit] of group into a predictor from pool — a pooled one as its
+// last item left it, since the restore overwrites all of its state, or
+// builder's — returning it with the counters measured over [0, pos),
+// pos, and the payload's size. A payload that fails to decode is
+// quarantined, so the next run that reaches pos rewrites it, and the
+// scan falls back to the next shorter prefix; the predictor it failed
+// on is dropped. Returns (nil, _, 0, 0) when no snapshot applies (none
 // cached, no store, or the predictor is not a Snapshotter).
-func (e *Engine) resume(builder func() predictor.Predictor, group SnapKey, limit int) (predictor.Predictor, Result, int, int) {
+func (e *Engine) resume(pool *predictorPool, builder func() predictor.Predictor, group SnapKey, limit int) (predictor.Predictor, Result, int, int) {
 	if e.store == nil {
 		return nil, Result{}, 0, 0
 	}
@@ -516,14 +541,18 @@ func (e *Engine) resume(builder func() predictor.Predictor, group SnapKey, limit
 		if !ok {
 			continue
 		}
-		p := builder()
+		p, _ := pool.take()
+		if p == nil {
+			p = pool.build(builder)
+		}
 		sp, ok := p.(snap.Snapshotter)
 		if !ok {
 			return nil, Result{}, 0, 0
 		}
 		partial, err := decodeSimState(payload, sp)
 		if err != nil {
-			// Corrupt or structurally mismatched snapshot.
+			// Corrupt or structurally mismatched snapshot; p's state is
+			// now unspecified, so it is not pooled again.
 			e.store.quarantineSnapshot(k)
 			continue
 		}

@@ -185,6 +185,34 @@ func TestStreamSharedAcrossConfigs(t *testing.T) {
 	}
 }
 
+// TestUnshardedStreamAdmittedOnSecondReader: unsharded items read
+// their stream once, so one engine running three configurations
+// generates the first configuration's streams straight into the
+// predictor, materializes each stream for the second, and serves the
+// third from the cache — with the results of an engine that never
+// materializes.
+func TestUnshardedStreamAdmittedOnSecondReader(t *testing.T) {
+	benches := workload.CBP4()[:3]
+	const budget = 6000
+	e := NewEngine(EngineConfig{})
+	ref := NewEngine(EngineConfig{StreamMemory: -1})
+	want := []workload.StreamStats{{}, {Generated: 3}, {Generated: 3, Hits: 3}}
+	for i, cfg := range []string{"gshare", "bimodal", "gehl"} {
+		run := e.RunSuite(builderFor(cfg), cfg, "cbp4", benches, budget)
+		st := e.Streams().Stats()
+		if st.Generated != want[i].Generated || st.Hits != want[i].Hits {
+			t.Errorf("after %s: generated %d, hits %d; want %d and %d",
+				cfg, st.Generated, st.Hits, want[i].Generated, want[i].Hits)
+		}
+		refRun := ref.RunSuite(builderFor(cfg), cfg, "cbp4", benches, budget)
+		for j := range benches {
+			if run.Results[j] != refRun.Results[j] {
+				t.Errorf("%s %s: %+v != regenerated %+v", cfg, benches[j].Name, run.Results[j], refRun.Results[j])
+			}
+		}
+	}
+}
+
 // TestEngineDefaultMaterializes checks the zero-value EngineConfig
 // materializes streams (the default data path) and a negative
 // StreamMemory materializes none.

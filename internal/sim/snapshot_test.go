@@ -94,6 +94,40 @@ func TestSnapshotRestoreEveryRegistryConfig(t *testing.T) {
 	}
 }
 
+// TestSnapshotPristineResetEqualsFresh is the predictor pool's premise
+// (DESIGN.md §5, §8) over the full registry: a predictor that ran one
+// benchmark, handed back to its pool and reset to the pristine snapshot,
+// runs the next benchmark exactly as a newly built one does — the same
+// counters and byte-identical final state.
+func TestSnapshotPristineResetEqualsFresh(t *testing.T) {
+	const n = 20000
+	first, second := materialize(t, "SPEC2K6-04", n), materialize(t, "SPEC2K6-12", n)
+	for _, cfg := range predictor.Names() {
+		builder := builderFor(cfg)
+		pool := &predictorPool{name: cfg, limit: 1}
+		used := pool.fresh(builder)
+		feedRecords(used, "SPEC2K6-04", first, 0, 0, noLimit)
+		pool.put(used)
+		reset := pool.fresh(builder)
+		if reset != used {
+			t.Fatalf("%s: the pool built a new predictor instead of resetting its free one", cfg)
+		}
+		got := feedRecords(reset, "SPEC2K6-12", second, 0, 0, noLimit)
+
+		fresh := builder()
+		want := feedRecords(fresh, "SPEC2K6-12", second, 0, 0, noLimit)
+		if got != want {
+			t.Errorf("%s: after a pristine reset %+v, newly built %+v", cfg, got, want)
+		}
+		g, w := snap.NewEncoder(), snap.NewEncoder()
+		reset.(snap.Snapshotter).Snapshot(g)
+		fresh.(snap.Snapshotter).Snapshot(w)
+		if string(g.Bytes()) != string(w.Bytes()) {
+			t.Errorf("%s: final state after a pristine reset differs from a newly built predictor's", cfg)
+		}
+	}
+}
+
 // TestSnapshotRejectsWrongConfig: a snapshot taken by one configuration
 // must not restore into a structurally different one.
 func TestSnapshotRejectsWrongConfig(t *testing.T) {

@@ -34,9 +34,13 @@ import (
 // Snapshotter is implemented by every component that can serialize its
 // full mutable state. The contract: Snapshot at a branch boundary
 // (between one branch's Train and the next branch's Predict),
-// RestoreSnapshot into a freshly constructed instance of the identical
-// configuration. After a restore, continued simulation is
-// prediction-for-prediction identical to the uninterrupted run.
+// RestoreSnapshot into any instance of the identical configuration —
+// freshly constructed, or one that has already simulated, since a
+// restore overwrites every mutable field. After a restore, continued
+// simulation is prediction-for-prediction identical to the
+// uninterrupted run. The simulation engine relies on the second case:
+// it resets a used predictor by restoring the snapshot its
+// configuration had when built (DESIGN.md §5).
 type Snapshotter interface {
 	// Snapshot appends the component's state to the encoder.
 	Snapshot(*Encoder)

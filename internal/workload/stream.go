@@ -12,7 +12,9 @@ import (
 // (trace name, seed, budget) into a compact in-memory buffer and
 // handed out as a read-only []trace.Record slice, so the simulation
 // engine's shards — and every configuration of a batch run sharing the
-// cache — stop paying O(shards × budget) regeneration work.
+// cache — stop paying O(shards × budget) regeneration work. A caller
+// that reads a stream once asks through GetAdmitted, which materializes
+// it only from its key's second request.
 
 // DefaultStreamMemory is the resident-byte bound a zero-configured
 // StreamCache uses. At ~24 bytes per record it holds dozens of
@@ -21,6 +23,14 @@ const DefaultStreamMemory = 256 << 20
 
 // recordBytes is the accounting cost of one resident trace.Record.
 const recordBytes = int64(24) // 2×uint64 + kind + taken + gap, padded
+
+// seenKeys bounds how many declined first requests GetAdmitted
+// remembers. A key's second reader must arrive within this many other
+// single-reader keys to find it remembered; an engine's suite run asks
+// for one key per benchmark (a full cbp4+cbp3 run is 80), and a fleet
+// worker for one per leased item. At ~100 bytes a key the set stays
+// under half a MiB.
+const seenKeys = 4096
 
 // Stream is the materialized record stream of one benchmark at one
 // budget. The slice may run a few records past the budget: generation
@@ -58,10 +68,13 @@ type streamEntry struct {
 
 // StreamStats counts what a StreamCache did across its lifetime.
 type StreamStats struct {
-	// Generated is the number of generator materializations (each one
-	// full Benchmark.Generate run). A suite run over n benchmarks that
-	// shares one cache should generate exactly n streams, regardless
-	// of shard and configuration counts.
+	// Generated is the number of materializations (each one full
+	// Benchmark.Generate run into a resident buffer). A first request
+	// GetAdmitted declines is not counted: its caller generates the
+	// records itself. A warm-up-sharded suite run over n benchmarks that
+	// shares one cache generates exactly n streams, regardless of shard
+	// and configuration counts; an unsharded one generates n from its
+	// second configuration on, and none for a single configuration.
 	Generated uint64
 	// Hits is the number of Gets served from a resident stream.
 	Hits uint64
@@ -71,7 +84,8 @@ type StreamStats struct {
 }
 
 // StreamCache materializes benchmark streams once and bounds their
-// resident memory with an LRU. A cache is safe for concurrent use;
+// resident memory with an LRU; GetAdmitted adds the single-reader
+// admission rule. A cache is safe for concurrent use;
 // concurrent Gets of the same stream generate it exactly once (the
 // losers block until the winner finishes). Streams live only in
 // memory: regenerating one is faster than reading it back from disk
@@ -83,6 +97,12 @@ type StreamCache struct {
 	entries map[streamKey]*streamEntry
 	order   *list.List // front = most recently used
 	bytes   int64
+	// seen holds the keys whose first request GetAdmitted declined, at
+	// most seenKeys of them; seenOrder lists them oldest first from
+	// index seenNext, and the oldest is forgotten first.
+	seen      map[streamKey]struct{}
+	seenOrder []streamKey
+	seenNext  int
 
 	generated uint64
 	hits      uint64
@@ -102,6 +122,7 @@ func NewStreamCache(maxBytes int64, spillDir string) *StreamCache {
 		maxBytes: maxBytes,
 		entries:  map[streamKey]*streamEntry{},
 		order:    list.New(),
+		seen:     map[streamKey]struct{}{},
 	}
 }
 
@@ -122,6 +143,23 @@ func (c *StreamCache) Stats() StreamStats {
 // would exceed the cache's memory bound — callers must then fall back
 // to streaming generation.
 func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
+	return c.get(b, budget, false)
+}
+
+// GetAdmitted is Get for a caller that reads the stream once. A key's
+// first request returns nil and only records the key; the caller then
+// generates the records itself, which costs what materializing them
+// would without keeping a buffer nobody reads again. From the key's
+// second request on, GetAdmitted is Get: the second materializes the
+// stream and later ones hit it. The cache remembers the last seenKeys
+// declined keys; a key requested again after that many others is a
+// first request again.
+func (c *StreamCache) GetAdmitted(b Benchmark, budget int) *Stream {
+	return c.get(b, budget, true)
+}
+
+// get is Get, and GetAdmitted when admit is set.
+func (c *StreamCache) get(b Benchmark, budget int, admit bool) *Stream {
 	if budget <= 0 {
 		return nil
 	}
@@ -141,6 +179,10 @@ func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 		c.mu.Unlock()
 		<-e.ready
 		return e.stream
+	}
+	if admit && c.firstRequestLocked(key) {
+		c.mu.Unlock()
+		return nil
 	}
 	e := &streamEntry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
@@ -190,4 +232,22 @@ func (c *StreamCache) evictLocked(keep *streamEntry) {
 		c.bytes -= e.stream.Bytes()
 		delete(c.entries, e.key)
 	}
+}
+
+// firstRequestLocked reports whether key is missing from the seen-set,
+// recording it there if so, and forgets the oldest key when the set is
+// full.
+func (c *StreamCache) firstRequestLocked(key streamKey) bool {
+	if _, ok := c.seen[key]; ok {
+		return false
+	}
+	if len(c.seenOrder) < seenKeys {
+		c.seenOrder = append(c.seenOrder, key)
+	} else {
+		delete(c.seen, c.seenOrder[c.seenNext])
+		c.seenOrder[c.seenNext] = key
+		c.seenNext = (c.seenNext + 1) % seenKeys
+	}
+	c.seen[key] = struct{}{}
+	return true
 }

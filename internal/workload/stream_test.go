@@ -173,3 +173,94 @@ func TestStreamOvershootNotKeptResidentPastBound(t *testing.T) {
 			got.ResidentBytes, maxBytes)
 	}
 }
+
+// TestStreamAdmittedOnSecondRequest pins the single-reader admission
+// rule: a key's first GetAdmitted materializes nothing, the second
+// materializes it once, and later requests hit it.
+func TestStreamAdmittedOnSecondRequest(t *testing.T) {
+	b := mustBench(t, "MM-4")
+	c := NewStreamCache(0, "")
+	if st := c.GetAdmitted(b, 2000); st != nil {
+		t.Fatal("first request materialized the stream")
+	}
+	if g := c.Stats().Generated; g != 0 {
+		t.Fatalf("Generated = %d after a first request, want 0", g)
+	}
+	second := c.GetAdmitted(b, 2000)
+	if second == nil {
+		t.Fatal("second request did not materialize the stream")
+	}
+	if third := c.GetAdmitted(b, 2000); third != second {
+		t.Fatal("third request did not return the materialized stream")
+	}
+	if got := c.Get(b, 2000); got != second {
+		t.Fatal("Get did not return the admitted stream")
+	}
+	if st := c.Stats(); st.Generated != 1 || st.Hits != 2 {
+		t.Errorf("Generated = %d, Hits = %d; want 1 and 2", st.Generated, st.Hits)
+	}
+}
+
+// TestStreamAdmittedConcurrently: of concurrent GetAdmitted calls for
+// one key, exactly one is the declined first request, and the rest share
+// one materialization.
+func TestStreamAdmittedConcurrently(t *testing.T) {
+	b := mustBench(t, "CLIENT02")
+	c := NewStreamCache(0, "")
+	const goroutines = 16
+	streams := make([]*Stream, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			streams[i] = c.GetAdmitted(b, 3000)
+		}(i)
+	}
+	wg.Wait()
+	declined := 0
+	var shared *Stream
+	for _, st := range streams {
+		switch {
+		case st == nil:
+			declined++
+		case shared == nil:
+			shared = st
+		case st != shared:
+			t.Fatal("concurrent admitted requests returned different streams")
+		}
+	}
+	if declined != 1 {
+		t.Errorf("%d of %d concurrent requests declined, want exactly the first", declined, goroutines)
+	}
+	if g := c.Stats().Generated; g != 1 {
+		t.Errorf("Generated = %d under concurrency, want 1", g)
+	}
+}
+
+// TestStreamSeenSetBounded: the keys GetAdmitted declined stay at the
+// seenKeys bound as more arrive, and the oldest is forgotten first.
+func TestStreamSeenSetBounded(t *testing.T) {
+	b := mustBench(t, "MM-4")
+	c := NewStreamCache(0, "")
+	const extra = 10
+	for budget := 1; budget <= seenKeys+extra; budget++ {
+		if c.GetAdmitted(b, budget) != nil {
+			t.Fatalf("first request for budget %d materialized", budget)
+		}
+	}
+	if len(c.seen) != seenKeys || len(c.seenOrder) != seenKeys {
+		t.Fatalf("seen-set holds %d keys (%d ordered), want the bound %d", len(c.seen), len(c.seenOrder), seenKeys)
+	}
+	// The first extra keys were forgotten: a repeat is a first request
+	// again. The newest is remembered: a repeat materializes it.
+	if c.GetAdmitted(b, 1) != nil {
+		t.Error("the oldest key was not forgotten")
+	}
+	if c.GetAdmitted(b, seenKeys+extra) == nil {
+		t.Error("the newest key was forgotten")
+	}
+	if len(c.seen) != seenKeys {
+		t.Errorf("seen-set holds %d keys, want the bound %d", len(c.seen), seenKeys)
+	}
+}
