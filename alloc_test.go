@@ -7,7 +7,8 @@
 // The entry points driven here come from internal/hotlist — the same
 // source of truth the static hotpath analyzer roots its call graph at
 // — so the runtime gate and the vet-time gate cannot drift apart: a
-// hot entry added to the list without a driver below fails this test.
+// hot entry added to the list without a driver below, or a driver
+// whose entry left the list, fails this test.
 package imli_test
 
 import (
@@ -22,11 +23,10 @@ import (
 // drivers maps each hotlist entry method to the call that exercises it
 // for one record. Predict and Train fire on conditional branches,
 // TrackOther on everything else — together they cover the per-branch
-// protocol the engine runs (DESIGN.md §7). The staged entries run the
-// same record through the stage decomposition Predict and Train
-// compose (DESIGN.md §13): the three predict stages and the split
-// train halves. They no-op for registry adapters that are not
-// composites, which have no staged path.
+// protocol the engine runs (DESIGN.md §7). TrainTables and SpecPush
+// run the same record again through the two halves of Composite.Train,
+// predicting it first as the speculative pipeline model does; they
+// no-op for registry adapters that are not composites.
 func drivers(p predictor.Predictor) map[string]func(trace.Record) {
 	comp, _ := p.(*predictor.Composite)
 	return map[string]func(trace.Record){
@@ -45,23 +45,9 @@ func drivers(p predictor.Predictor) map[string]func(trace.Record) {
 				p.TrackOther(r.PC, r.Target, r.Kind, r.Taken)
 			}
 		},
-		"PredictStage1": func(r trace.Record) {
-			if comp != nil && r.Conditional() {
-				comp.PredictStage1(r.PC)
-			}
-		},
-		"PredictStage2": func(r trace.Record) {
-			if comp != nil && r.Conditional() {
-				comp.PredictStage2()
-			}
-		},
-		"PredictStage3": func(r trace.Record) {
-			if comp != nil && r.Conditional() {
-				comp.PredictStage3()
-			}
-		},
 		"TrainTables": func(r trace.Record) {
 			if comp != nil && r.Conditional() {
+				comp.Predict(r.PC)
 				comp.TrainTables(r.PC, r.Target, r.Taken)
 			}
 		},
@@ -94,6 +80,10 @@ func TestPredictTrainZeroAlloc(t *testing.T) {
 				t.Fatalf("hotlist entry %q has no driver in alloc_test.go: the runtime gate no longer covers the static gate's roots", m)
 			}
 			entries = append(entries, d)
+			delete(byMethod, m)
+		}
+		for m := range byMethod {
+			t.Fatalf("alloc_test.go drives %q, which hotlist.Methods no longer lists: remove the dead driver", m)
 		}
 		feed := func(r trace.Record) {
 			for _, d := range entries {

@@ -153,33 +153,6 @@ func benchPredictor(b *testing.B, config string) {
 	_ = miss
 }
 
-// BenchmarkPredictReferenceTAGESCLIMLI measures the monolithic
-// (pre-staging) predict/train path kept in predictor/reference.go as
-// the property-test oracle, so the staged pipeline's overhead over it
-// (BenchmarkPredictTAGESCLIMLI) is directly visible on the same box
-// and workload.
-func BenchmarkPredictReferenceTAGESCLIMLI(b *testing.B) {
-	bench, err := workload.ByName("SPEC2K6-12")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var recs []trace.Record
-	bench.Generate(1<<16, func(r trace.Record) { recs = append(recs, r) })
-	n := len(recs)
-	p := predictor.MustNew("tage-sc-l+imli").(*predictor.Composite)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := recs[i%n]
-		if r.Conditional() {
-			p.PredictReference(r.PC)
-			p.TrainReference(r.PC, r.Target, r.Taken)
-		} else {
-			p.TrackOther(r.PC, r.Target, r.Kind, r.Taken)
-		}
-	}
-}
-
 func BenchmarkPredictBimodal(b *testing.B)     { benchPredictor(b, "bimodal") }
 func BenchmarkPredictGshare(b *testing.B)      { benchPredictor(b, "gshare") }
 func BenchmarkPredictGEHL(b *testing.B)        { benchPredictor(b, "gehl") }

@@ -49,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -118,8 +119,11 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := cliflags.PositiveDuration("drain-timeout", *drainTimeout); err != nil {
 		return err
 	}
-	if *rateLimit < 0 {
-		return fmt.Errorf("-rate-limit must be >= 0, got %g", *rateLimit)
+	if *rateLimit < 0 || math.IsNaN(*rateLimit) || math.IsInf(*rateLimit, 0) {
+		return fmt.Errorf("-rate-limit must be a finite number >= 0, got %g", *rateLimit)
+	}
+	if *rateBurst < 0 {
+		return fmt.Errorf("-rate-burst must be >= 0, got %d", *rateBurst)
 	}
 	engCfg, err := eng.Config()
 	if err != nil {

@@ -61,6 +61,9 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-drain-timeout=0s", "-once"}, "-drain-timeout"},
 		{[]string{"-drain-timeout=-5s", "-once"}, "-drain-timeout"},
 		{[]string{"-rate-limit=-1", "-once"}, "-rate-limit"},
+		{[]string{"-rate-limit=NaN", "-once"}, "-rate-limit"},
+		{[]string{"-rate-limit=+Inf", "-once"}, "-rate-limit"},
+		{[]string{"-rate-burst=-1", "-once"}, "-rate-burst"},
 		{[]string{"-shards=0", "-once"}, "-shards"},
 		{[]string{"-shards=-3", "-once"}, "-shards"},
 		{[]string{"-parallel=-3", "-once"}, "-parallel"},

@@ -99,8 +99,6 @@ type SIC struct {
 	ctr  []int8
 	mask uint64
 	bits int
-
-	stageIdx uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 }
 
 // NewSIC returns an IMLI-SIC component reading the shared counter.
@@ -120,21 +118,6 @@ func (s *SIC) Vote(ctx neural.Ctx) int { return num.Centered(s.ctr[s.index(ctx)]
 func (s *SIC) Train(ctx neural.Ctx, taken bool) {
 	i := s.index(ctx)
 	s.ctr[i] = num.SatUpdate(s.ctr[i], taken, s.bits)
-}
-
-// StagePredict implements neural.Staged. The IMLI counter read happens
-// here, at predict time; reusing the recorded index for StageTrain is
-// exact because the counter only advances at SpecPush, after table
-// training.
-func (s *SIC) StagePredict(ctx neural.Ctx) int {
-	i := s.index(ctx)
-	s.stageIdx = i
-	return num.Centered(s.ctr[i])
-}
-
-// StageTrain implements neural.Staged.
-func (s *SIC) StageTrain(_ neural.Ctx, taken bool) {
-	s.ctr[s.stageIdx] = num.SatUpdate(s.ctr[s.stageIdx], taken, s.bits)
 }
 
 // Name implements neural.Component.
@@ -192,8 +175,6 @@ type OH struct {
 	// outer-history table are applied delay conditional branches late.
 	delay   int //lint:allow snapcomplete configuration set once by SetDelay at wiring time
 	pending []pendingWrite
-
-	stageIdx uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 }
 
 type pendingWrite struct {
@@ -251,26 +232,13 @@ func (o *OH) Train(ctx neural.Ctx, taken bool) {
 	o.ctr[i] = num.SatUpdate(o.ctr[i], taken, o.bits)
 }
 
-// StagePredict implements neural.Staged. The outer-history and PIPE
-// reads that feed the index happen here; reusing the recorded index
-// for StageTrain is exact because UpdateHistory runs after table
-// training.
-func (o *OH) StagePredict(ctx neural.Ctx) int {
-	i := o.index(ctx)
-	o.stageIdx = i
-	return num.Centered(o.ctr[i])
-}
-
-// StageTrain implements neural.Staged.
-func (o *OH) StageTrain(_ neural.Ctx, taken bool) {
-	o.ctr[o.stageIdx] = num.SatUpdate(o.ctr[o.stageIdx], taken, o.bits)
-}
-
 // UpdateHistory records the resolved outcome in the outer-history
 // table and rotates the overwritten bit into the PIPE vector. Unlike
 // Train, this must run for every conditional branch (it is history
-// maintenance, not counter training), and it must run before the IMLI
-// counter observes the branch.
+// maintenance, not counter training). It must run after the adder
+// tree has trained on the branch, since Train recomputes the index
+// from this table and the PIPE vector, and before the IMLI counter
+// observes the branch.
 func (o *OH) UpdateHistory(pc uint64, taken bool) {
 	idx := o.histIndex(pc)
 	b := uint(o.slot(pc))

@@ -57,7 +57,6 @@ type Predictor struct {
 	// state between Predict and Update
 	lastSum int        //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
 	lastCtx neural.Ctx //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-	partial int        //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 }
 
 // New returns a GEHL predictor over the shared path history,
@@ -134,32 +133,6 @@ func (p *Predictor) Predict(pc uint64) bool {
 // Sum returns the adder-tree output of the last Predict (for
 // confidence inspection).
 func (p *Predictor) Sum() int { return p.lastSum }
-
-// StageIndex is predict stage 1: it registers the branch context the
-// later stages index with (the PC is mixed once here).
-func (p *Predictor) StageIndex(pc uint64) {
-	p.lastCtx = neural.MakeCtx(pc, false)
-}
-
-// StageLoad is predict stage 2: every table's fused index/load/vote
-// (one dispatch per component, matching Sum), with the partial sum
-// recorded in scratch. GEHL has no TagePred-dependent components, so
-// the partial sum is already the full adder-tree output.
-func (p *Predictor) StageLoad() { p.partial = p.tree.StagePredict(p.lastCtx) }
-
-// StageCombine is predict stage 3: combine the votes into the final
-// direction. Equivalent to Predict over the same state; must be
-// followed by UpdateStaged (or Update) for the branch.
-func (p *Predictor) StageCombine() bool {
-	p.lastSum = p.tree.StageFinishSum(p.lastCtx, p.partial)
-	return p.lastSum >= 0
-}
-
-// UpdateStaged trains the predictor using the indices recorded by the
-// staged predict, avoiding the index recomputation of Update.
-func (p *Predictor) UpdateStaged(taken bool) {
-	p.tree.StageTrain(p.lastCtx, taken, p.lastSum)
-}
 
 // Update trains the predictor with the resolved outcome of the branch
 // passed to the immediately preceding Predict, whose stored context

@@ -5,7 +5,7 @@
 //   - alloc_test.go (the runtime gate) drives every registry
 //     configuration through exactly these methods and asserts zero
 //     steady-state allocations per branch, failing if an entry here has
-//     no driver;
+//     no driver or a driver has no entry here;
 //   - the hotpath analyzer in internal/analysis/hotpath (the static
 //     gate) roots its call graph at these methods and flags
 //     allocation-prone constructs anywhere reachable from them, with
@@ -25,14 +25,9 @@ func Packages() []string {
 
 // Methods are the per-branch entry points of the predictor.Predictor
 // call protocol — the simulation engine calls these once per record in
-// the hot loop (DESIGN.md §7) — plus the staged entry points that
-// Predict and Train compose (DESIGN.md §13): the three predict stages
-// and the split train halves, which the speculative pipeline model
-// and the per-stage benchmark probes call directly.
+// the hot loop (DESIGN.md §7) — plus the two halves of Composite.Train,
+// which the speculative pipeline model (internal/sim/spec.go) calls
+// separately.
 func Methods() []string {
-	return []string{
-		"Predict", "Train", "TrackOther",
-		"PredictStage1", "PredictStage2", "PredictStage3",
-		"TrainTables", "SpecPush",
-	}
+	return []string{"Predict", "Train", "TrackOther", "TrainTables", "SpecPush"}
 }

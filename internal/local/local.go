@@ -136,8 +136,6 @@ type Table struct {
 	histLen int
 	hist    *hist.Local
 	source  func(pc uint64) uint64
-
-	stageIdx uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 }
 
 func (t *Table) index(ctx neural.Ctx) uint64 {
@@ -152,21 +150,6 @@ func (t *Table) Vote(ctx neural.Ctx) int { return num.Centered(t.ctr[t.index(ctx
 func (t *Table) Train(ctx neural.Ctx, taken bool) {
 	i := t.index(ctx)
 	t.ctr[i] = num.SatUpdate(t.ctr[i], taken, t.bits)
-}
-
-// StagePredict implements neural.Staged. The first-level local-history
-// load (t.source) happens here; reusing the recorded index at train
-// time is exact because the local history table is only pushed after
-// table training.
-func (t *Table) StagePredict(ctx neural.Ctx) int {
-	i := t.index(ctx)
-	t.stageIdx = i
-	return num.Centered(t.ctr[i])
-}
-
-// StageTrain implements neural.Staged.
-func (t *Table) StageTrain(_ neural.Ctx, taken bool) {
-	t.ctr[t.stageIdx] = num.SatUpdate(t.ctr[t.stageIdx], taken, t.bits)
 }
 
 // Name implements neural.Component.

@@ -54,56 +54,10 @@ type Component interface {
 	StorageBits() int
 }
 
-// Staged is implemented by components whose per-branch vote can run in
-// the staged form of DESIGN.md §13. StagePredict fuses the component's
-// index math, table load and vote into one call — one dynamic dispatch
-// per component, the same count as Vote, so the staged path costs no
-// extra calls — and records the index in component scratch for
-// StageTrain. It runs before the TAGE prediction is resolved:
-// components indexed by ctx.TagePred (the bias tables) load both
-// candidate entries, return 0, and contribute their vote through
-// FinishStaged once TagePred is known. Stage results live in component
-// scratch fields, so one StagePredict/StageTrain round must complete
-// before the next branch's begins — the same one-branch-at-a-time
-// protocol Vote/Train already impose. StageTrain reuses the recorded
-// index, which is exact under the predictor call protocol: no history
-// advances between a branch's predict stages and its table training
-// (verified by the staged property test in internal/predictor).
-type Staged interface {
-	Component
-	// StagePredict computes the index, loads the counter(s) and returns
-	// the vote for ctx. ctx.TagePred is still unresolved here;
-	// components indexed by it return 0 and defer to StageFinish.
-	StagePredict(ctx Ctx) int
-	// StageTrain moves the counter at the recorded index toward taken.
-	StageTrain(ctx Ctx, taken bool)
-}
-
-// FinishStaged marks staged components whose vote depends on the
-// resolved TAGE prediction. StageFinish returns the deferred vote from
-// the entries StagePredict loaded, selected by ctx.TagePred. The tree
-// calls it only for components that implement this interface, so the
-// TagePred-independent majority pays nothing at the finish stage.
-type FinishStaged interface {
-	Staged
-	StageFinish(ctx Ctx) int
-}
-
 // Tree sums components and maintains the adaptive update threshold.
 type Tree struct {
 	//lint:allow snapcomplete component wiring built by NewTree/Add at construction
 	comps []Component
-	// staged mirrors comps while every component implements Staged;
-	// the staged tree entry points below only engage when it is
-	// complete (len(staged) == len(comps)) and otherwise fall back to
-	// the monolithic Sum/Train, so a future non-staged component
-	// degrades gracefully instead of voting with stale scratch.
-	//lint:allow snapcomplete component wiring built by NewTree/Add at construction
-	staged []Staged
-	// finish is the subset of staged whose vote is deferred to the
-	// finish stage (bias tables); StageFinishSum only walks these.
-	//lint:allow snapcomplete component wiring built by NewTree/Add at construction
-	finish []FinishStaged
 
 	theta    int // update/confidence threshold
 	thetaMin int
@@ -128,19 +82,7 @@ func NewTree(initialTheta int, comps ...Component) *Tree {
 
 // Add appends a component (used when a configuration enables optional
 // components such as IMLI or local history).
-func (t *Tree) Add(c Component) {
-	if s, ok := c.(Staged); ok && len(t.staged) == len(t.comps) {
-		t.staged = append(t.staged, s)
-		if f, ok := c.(FinishStaged); ok {
-			t.finish = append(t.finish, f)
-		}
-	}
-	t.comps = append(t.comps, c)
-}
-
-// StagedAll reports whether every component supports staged execution,
-// i.e. whether the Stage* tree entry points use the pipelined path.
-func (t *Tree) StagedAll() bool { return len(t.staged) == len(t.comps) }
+func (t *Tree) Add(c Component) { t.comps = append(t.comps, c) }
 
 // Components returns the component list (for storage reports).
 func (t *Tree) Components() []Component { return t.comps }
@@ -172,15 +114,10 @@ func (t *Tree) Train(ctx Ctx, taken bool, sum int) {
 			c.Train(ctx, taken)
 		}
 	}
-	t.fitThreshold(pred != taken, mag <= t.theta)
-}
-
-// fitThreshold is the dynamic threshold fitting shared by Train and
-// StageTrain: mispredictions push the threshold up, correct
-// low-confidence predictions push it down.
-func (t *Tree) fitThreshold(mispredicted, lowConf bool) {
+	// Mispredictions push the threshold up, correct low-confidence
+	// predictions push it down.
 	switch {
-	case mispredicted:
+	case pred != taken:
 		t.tc++
 		if t.tc >= t.tcLim {
 			t.tc = 0
@@ -188,7 +125,7 @@ func (t *Tree) fitThreshold(mispredicted, lowConf bool) {
 				t.theta++
 			}
 		}
-	case lowConf:
+	case mag <= t.theta:
 		t.tc--
 		if t.tc <= -t.tcLim {
 			t.tc = 0
@@ -197,61 +134,6 @@ func (t *Tree) fitThreshold(mispredicted, lowConf bool) {
 			}
 		}
 	}
-}
-
-// StagePredict runs the load stage of every component — fused index
-// math, table load and vote, one dispatch per component — and returns
-// the partial sum: every vote except those deferred to StageFinishSum
-// by TagePred-dependent components. On a tree with a non-staged
-// component it returns 0 and StageFinishSum falls back to the
-// monolithic Sum.
-func (t *Tree) StagePredict(ctx Ctx) int {
-	if len(t.staged) != len(t.comps) {
-		return 0
-	}
-	s := 0
-	for _, c := range t.staged {
-		s += c.StagePredict(ctx)
-	}
-	return s
-}
-
-// StageFinishSum runs the finish stage: given the partial sum the last
-// StagePredict returned, it adds the deferred TagePred-dependent votes
-// and yields the adder-tree output, bit-identical to Sum over the same
-// ctx and history state (integer addition commutes, so deferring the
-// bias votes cannot change the sum). ctx carries the resolved TagePred
-// the bias tables select by.
-func (t *Tree) StageFinishSum(ctx Ctx, partial int) int {
-	if len(t.staged) != len(t.comps) {
-		return t.Sum(ctx)
-	}
-	s := partial
-	for _, c := range t.finish {
-		s += c.StageFinish(ctx)
-	}
-	return s
-}
-
-// StageTrain applies the O-GEHL update policy of Train using the
-// indices recorded by the last StagePredict round instead of
-// recomputing them — exact under the call protocol (see Staged).
-func (t *Tree) StageTrain(ctx Ctx, taken bool, sum int) {
-	if len(t.staged) != len(t.comps) {
-		t.Train(ctx, taken, sum)
-		return
-	}
-	pred := sum >= 0
-	mag := sum
-	if mag < 0 {
-		mag = -mag
-	}
-	if pred != taken || mag <= t.theta {
-		for _, c := range t.staged {
-			c.StageTrain(ctx, taken)
-		}
-	}
-	t.fitThreshold(pred != taken, mag <= t.theta)
 }
 
 // StorageBits sums component storage plus the threshold state.
@@ -282,8 +164,6 @@ type GlobalTable struct {
 	// (§4.2) is implemented by setting this to read the IMLI counter.
 	//lint:allow snapcomplete wiring: index hook installed by SetExtraIndex at construction
 	extraIndex func() uint64
-
-	stageIdx uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 }
 
 // NewGlobalTable returns a global-history component with entries
@@ -343,20 +223,6 @@ func (t *GlobalTable) Train(ctx Ctx, taken bool) {
 	t.ctr[i] = num.SatUpdate(t.ctr[i], taken, t.ctrBits)
 }
 
-// StagePredict implements Staged: the same index/load/vote as Vote,
-// with the index recorded for StageTrain.
-func (t *GlobalTable) StagePredict(ctx Ctx) int {
-	i := t.index(ctx)
-	t.stageIdx = i
-	return num.Centered(t.ctr[i])
-}
-
-// StageTrain implements Staged: trains the entry recorded by the last
-// StagePredict.
-func (t *GlobalTable) StageTrain(_ Ctx, taken bool) {
-	t.ctr[t.stageIdx] = num.SatUpdate(t.ctr[t.stageIdx], taken, t.ctrBits)
-}
-
 // Name implements Component.
 func (t *GlobalTable) Name() string { return t.name }
 
@@ -373,13 +239,6 @@ type BiasTable struct {
 	mask    uint64
 	ctrBits int
 	skew    uint64 // distinguishes multiple bias tables
-
-	// Staged scratch. The bias index depends on the TAGE prediction,
-	// which is not resolved until the finish stage, so StagePredict
-	// fetches both candidates of the (PC, TagePred) pair — they are
-	// adjacent entries on the same cache line — and StageFinish selects.
-	stagePair uint64  //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageCtr  [2]int8 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 }
 
 // NewBiasTable returns a bias component.
@@ -388,24 +247,19 @@ func NewBiasTable(name string, entries, ctrBits int, skew uint64) *BiasTable {
 	return &BiasTable{name: name, ctr: make([]int8, n), mask: uint64(n - 1), ctrBits: ctrBits, skew: skew}
 }
 
-// pairIndex returns the index of the TagePred=false entry of the
-// (PC, TagePred) pair; OR-ing in the prediction bit (under the mask)
-// selects within the pair.
-func (t *BiasTable) pairIndex(ctx Ctx) uint64 {
+// index places the two entries of a (PC, TagePred) pair side by side:
+// the PC hash picks the pair and the TAGE prediction the entry in it.
+func (t *BiasTable) index(ctx Ctx) uint64 {
 	// An unskewed table's hash is exactly the shared PC mix.
 	h := ctx.PCMix
 	if t.skew != 0 || h == 0 {
 		h = num.Mix((ctx.PC >> 2) ^ t.skew)
 	}
-	return (h << 1) & t.mask
-}
-
-func (t *BiasTable) index(ctx Ctx) uint64 {
 	b := uint64(0)
 	if ctx.TagePred {
 		b = 1
 	}
-	return (t.pairIndex(ctx) | b) & t.mask
+	return (h<<1 | b) & t.mask
 }
 
 // Vote implements Component; the bias tables vote with double weight,
@@ -415,38 +269,6 @@ func (t *BiasTable) Vote(ctx Ctx) int { return 2 * num.Centered(t.ctr[t.index(ct
 // Train implements Component.
 func (t *BiasTable) Train(ctx Ctx, taken bool) {
 	i := t.index(ctx)
-	t.ctr[i] = num.SatUpdate(t.ctr[i], taken, t.ctrBits)
-}
-
-// StagePredict implements Staged. The bias index depends on the TAGE
-// prediction, which is not resolved until the finish stage, so the
-// load fetches both candidates of the (PC, TagePred) pair — adjacent
-// entries on the same cache line — returns 0, and StageFinish selects.
-func (t *BiasTable) StagePredict(ctx Ctx) int {
-	p := t.pairIndex(ctx)
-	t.stagePair = p
-	t.stageCtr[0] = t.ctr[p]
-	t.stageCtr[1] = t.ctr[(p|1)&t.mask]
-	return 0
-}
-
-// StageFinish implements FinishStaged: the resolved TAGE prediction
-// selects within the loaded pair.
-func (t *BiasTable) StageFinish(ctx Ctx) int {
-	b := 0
-	if ctx.TagePred {
-		b = 1
-	}
-	return 2 * num.Centered(t.stageCtr[b])
-}
-
-// StageTrain implements Staged.
-func (t *BiasTable) StageTrain(ctx Ctx, taken bool) {
-	b := uint64(0)
-	if ctx.TagePred {
-		b = 1
-	}
-	i := (t.stagePair | b) & t.mask
 	t.ctr[i] = num.SatUpdate(t.ctr[i], taken, t.ctrBits)
 }
 

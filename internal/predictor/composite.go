@@ -91,16 +91,8 @@ type Composite struct {
 	wh   *wormhole.Predictor
 
 	// per-branch state between Predict and Train
-	lastTage     tage.Prediction //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-	lastFinal    bool            //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-	lastLoopUsed bool            //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-
-	// staged-predict scratch carried between PredictStage1/2/3
-	stagePC     uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageLoop   bool   //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageLoopOK bool   //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageWH     bool   //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageWHUse  bool   //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
+	lastTage  tage.Prediction //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
+	lastFinal bool            //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
 
 	// locDetached suppresses the built-in commit of local history so
 	// the §2.3.2 pipeline model can own it (DetachLocalHistory).
@@ -221,13 +213,46 @@ func NewCustom(name string, opts Options) *Composite {
 // Name implements Predictor.
 func (c *Composite) Name() string { return c.opts.name }
 
-// Predict implements Predictor. It is the composition of the three
-// pipeline stages (see staged.go).
+// Predict implements Predictor: the base predictor's direction (TAGE
+// refined by the statistical corrector, or GEHL), overridden by a
+// confident loop predictor when the configuration uses it, then by the
+// wormhole predictor when it claims the branch.
 func (c *Composite) Predict(pc uint64) bool {
-	c.PredictStage1(pc)
-	c.PredictStage2()
-	return c.PredictStage3()
+	var pred bool
+	if c.tage != nil {
+		c.lastTage = c.tage.Predict(pc)
+		pred = c.gsc.Predict(pc, c.lastTage)
+	} else {
+		pred = c.gehl.Predict(pc)
+	}
+	if c.lp != nil {
+		if lpred, valid := c.lp.Predict(pc); valid && c.opts.LoopUse {
+			pred = lpred
+		}
+	}
+	if c.wh != nil {
+		if wpred, use := c.wh.Predict(pc); use {
+			pred = wpred
+		}
+	}
+	c.lastFinal = pred
+	return pred
 }
+
+// PredictStage1, PredictStage2 and PredictStage3 exist only for the
+// per-stage probes of bench/imliperf, which time them and check that
+// they mispredict exactly as Predict does. PredictStage1 runs the whole
+// Predict, PredictStage2 does nothing and PredictStage3 returns the
+// prediction. They go when those probes become one predict_ns probe
+// (ROADMAP, bench item).
+func (c *Composite) PredictStage1(pc uint64) { c.Predict(pc) }
+
+// PredictStage2 does nothing; see PredictStage1.
+func (c *Composite) PredictStage2() {}
+
+// PredictStage3 returns the last Predict's direction; see
+// PredictStage1.
+func (c *Composite) PredictStage3() bool { return c.lastFinal }
 
 // Train implements Predictor: the immediate-update path used by the
 // trace-driven simulator — table training followed by the history push

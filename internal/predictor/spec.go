@@ -60,16 +60,17 @@ func (c *Composite) SpecPush(pc, target uint64, taken bool) {
 // with the resolved outcome: every prediction counter, the loop and
 // wormhole predictors, the IMLI outer-history table and the local
 // history table. It must be called after Predict and before SpecPush
-// for the same branch (it reads the pre-branch IMLI state, matching
-// the immediate-update ordering of Train).
+// for the same branch: the corrector and GEHL tables recompute their
+// indices from the history, IMLI, outer-history and local-history
+// state Predict read, so the counters train before any of it moves.
 func (c *Composite) TrainTables(pc, target uint64, taken bool) {
 	mispredicted := c.lastFinal != taken
 	backward := target < pc
 	if c.tage != nil {
-		c.gsc.UpdateStaged(taken)
+		c.gsc.Update(taken)
 		c.tage.Update(pc, taken, c.lastTage)
 	} else {
-		c.gehl.UpdateStaged(taken)
+		c.gehl.Update(pc, taken)
 	}
 	if c.lp != nil {
 		c.lp.Update(pc, taken, mispredicted, backward)

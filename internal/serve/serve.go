@@ -92,8 +92,8 @@ type Server struct {
 	nextID   int
 	draining bool
 	// jnl is the job journal (nil disables journaling). All appends
-	// happen under s.mu, so the accepted → started → terminal order on
-	// disk matches the order the server decided it, and compaction
+	// happen under s.mu, so the accepted → terminal order on disk
+	// matches the order the server decided it, and compaction
 	// (gather + Rewrite) cannot interleave with a transition.
 	jnl       *journal.Journal
 	terminals int

@@ -217,12 +217,5 @@ func RunSuite(config, suite string, benches []workload.Benchmark, budget int) (S
 		return SuiteRun{}, err
 	}
 	builder := func() predictor.Predictor { return predictor.MustNew(config) }
-	return RunSuiteWith(builder, config, suite, benches, budget), nil
-}
-
-// RunSuiteWith is RunSuite for a custom predictor builder (used by
-// experiments whose configuration is not in the registry, such as the
-// delayed-update variant).
-func RunSuiteWith(builder func() predictor.Predictor, name, suite string, benches []workload.Benchmark, budget int) SuiteRun {
-	return NewEngine(EngineConfig{}).RunSuite(builder, name, suite, benches, budget)
+	return NewEngine(EngineConfig{}).RunSuite(builder, config, suite, benches, budget), nil
 }

@@ -120,15 +120,6 @@ type Predictor struct {
 	// avoid allocating on every branch
 	indices []uint64 //lint:allow snapcomplete per-prediction scratch buffer recomputed by each Predict
 	tags    []uint16 //lint:allow snapcomplete per-prediction scratch buffer recomputed by each Predict
-
-	// staged-predict scratch: LoadStage copies the indexed entries and
-	// the base prediction here so CombineStage runs on registered
-	// values.
-	ents          []taggedEntry //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stagePC       uint64        //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stagePCMix    uint64        //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageBase     bool          //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageBaseConf bool          //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
 }
 
 // New returns a TAGE predictor over the shared histories g and path,
@@ -173,7 +164,6 @@ func New(cfg Config, g *hist.Global, path *hist.Path, bank *hist.FoldedBank) *Pr
 	}
 	p.indices = make([]uint64, cfg.NumTables)
 	p.tags = make([]uint16, cfg.NumTables)
-	p.ents = make([]taggedEntry, cfg.NumTables)
 	return p
 }
 
@@ -224,132 +214,11 @@ func (p *Predictor) Bank() *hist.FoldedBank { return p.bank }
 // Predict computes the TAGE prediction for pc. The returned Prediction
 // must be passed back to Update once the branch resolves, before the
 // next Predict (the predictor reuses internal index scratch space).
-//
-// It is the composition of the three pipeline stages.
 func (p *Predictor) Predict(pc uint64) Prediction {
-	p.IndexStage(pc)
-	p.LoadStage()
-	return p.CombineStage()
-}
-
-// IndexStage is predict stage 1: it computes every tagged table's
-// index and tag from the PC hash and folded histories, recording them
-// in the scratch shared with Update. It returns pcMix so the owner can
-// forward it to the statistical corrector without re-mixing the PC.
-func (p *Predictor) IndexStage(pc uint64) uint64 {
 	// The PC is mixed once per branch; the per-table index and tag
 	// hashes both derive from pcMix, and the path-history mix is
 	// computed once per distinct pathBits (the history-length cap of 16
 	// makes the long-history tables share one value).
-	pcMix := num.Mix(pc >> 2)
-	p.stagePC = pc
-	p.stagePCMix = pcMix
-	tagHigh := uint16(pcMix >> 7)
-	var pv, pathMix uint64
-	if p.path != nil {
-		pv = p.path.Value()
-	}
-	prevPB := -1
-	folds := p.bank.Values()
-	tables := p.tables
-	indices := p.indices[:len(tables)]
-	tags := p.tags[:len(tables)]
-	for i := range tables {
-		t := &tables[i]
-		h := pcMix ^ uint64(folds[t.foldIdx])
-		if p.path != nil {
-			if t.pathBits != prevPB {
-				pathMix = num.Mix(pv & (1<<uint(t.pathBits) - 1))
-				prevPB = t.pathBits
-			}
-			h ^= pathMix
-		}
-		indices[i] = h & t.mask
-		tags[i] = (tagHigh ^ uint16(folds[t.foldTag1]) ^ uint16(folds[t.foldTag2]<<1)) & t.tagMask
-	}
-	return pcMix
-}
-
-// LoadStage is predict stage 2: it issues every table load at the
-// stage-1 indices, copying the entries (and the base prediction) into
-// scratch so stage 3 runs on registered values. Entries cannot change
-// between stages — nothing mutates tables within a predict.
-func (p *Predictor) LoadStage() {
-	tables := p.tables
-	ents := p.ents[:len(tables)]
-	indices := p.indices[:len(tables)]
-	for i := range tables {
-		ents[i] = tables[i].entries[indices[i]]
-	}
-	p.stageBase = p.base.Predict(p.stagePC)
-	p.stageBaseConf = p.base.Confident(p.stagePC)
-}
-
-// CombineStage is predict stage 3: provider/alternate search and the
-// use_alt_on_na chooser over the stage-2 entry copies.
-func (p *Predictor) CombineStage() Prediction {
-	pr := Prediction{hitBank: 0, altBank: 0, PCMix: p.stagePCMix}
-	basePred := p.stageBase
-	pr.altPred = basePred
-	pr.provPred = basePred
-	pr.Taken = basePred
-	if p.stageBaseConf {
-		pr.Conf = HighConf
-	} else {
-		pr.Conf = LowConf
-	}
-
-	for i := len(p.tables) - 1; i >= 0; i-- {
-		if p.ents[i].tag != p.tags[i] {
-			continue
-		}
-		if pr.hitBank == 0 {
-			pr.hitBank = i + 1
-		} else {
-			pr.altBank = i + 1
-			break
-		}
-	}
-	if pr.hitBank == 0 {
-		return pr
-	}
-	prov := p.ents[pr.hitBank-1]
-	pr.provPred = prov.ctr >= 0
-	if pr.altBank > 0 {
-		pr.altPred = p.ents[pr.altBank-1].ctr >= 0
-	}
-	centered := num.Centered(prov.ctr)
-	if centered < 0 {
-		centered = -centered
-	}
-	maxCentered := (1 << p.cfg.CtrBits) - 1
-	pr.weak = centered == 1 && prov.u == 0
-	switch {
-	case centered >= maxCentered:
-		pr.Conf = HighConf
-	case centered >= maxCentered/2:
-		pr.Conf = MedConf
-	default:
-		pr.Conf = LowConf
-	}
-
-	// On weak newly allocated entries, the alternate prediction is
-	// statistically better for some workloads; a global chooser
-	// (use_alt_on_na) arbitrates.
-	if pr.weak && p.useAltOnNA >= 0 {
-		pr.Taken = pr.altPred
-		pr.Conf = LowConf
-	} else {
-		pr.Taken = pr.provPred
-	}
-
-	return pr
-}
-
-// PredictReference is the original monolithic predict path, kept
-// verbatim as the oracle for the staged-vs-reference property test
-// (the same pattern as hist's FoldedBank-vs-Folded reference).
-func (p *Predictor) PredictReference(pc uint64) Prediction {
 	pcMix := num.Mix(pc >> 2)
 	pr := Prediction{hitBank: 0, altBank: 0, PCMix: pcMix}
 	tagHigh := uint16(pcMix >> 7)
@@ -418,6 +287,9 @@ func (p *Predictor) PredictReference(pc uint64) Prediction {
 		pr.Conf = LowConf
 	}
 
+	// On weak newly allocated entries, the alternate prediction is
+	// statistically better for some workloads; a global chooser
+	// (use_alt_on_na) arbitrates.
 	if pr.weak && p.useAltOnNA >= 0 {
 		pr.Taken = pr.altPred
 		pr.Conf = LowConf
