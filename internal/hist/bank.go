@@ -13,8 +13,9 @@ package hist
 // equal history length (a TAGE table's index fold and both tag folds
 // share their histLen, so its three registers cost one oldest-bit
 // fetch). The per-register update arithmetic is bit-identical to
-// Folded.Update, which remains as the executable reference that the
-// property tests check the bank against.
+// Folded.Update, the one-register reference that lives in the
+// package's tests (folded_test.go), and the property tests check the
+// bank against it.
 type FoldedBank struct {
 	value []uint32
 	//lint:allow snapcomplete geometry built by Add at construction, fixed afterwards

@@ -1,72 +1,15 @@
 package hist
 
-// Folded maintains a cyclic shift register that compresses the most
-// recent histLen bits of global history into width bits, as introduced
-// by Michaud for PPM-like predictors and used by TAGE for computing
-// table indices and tags in O(1) per branch instead of re-hashing the
-// whole history.
-//
-// The invariant (checked by property tests) is that Value() equals the
-// fold-by-XOR of the last histLen history bits into width bits, where
-// folding places history bit i (0 = most recent) at position
-// (i mod width) with a rotation applied per insertion.
-type Folded struct {
-	value   uint32
-	histLen int
-	width   int
-	outPos  int // position where the oldest bit falls when it exits
-}
-
-// NewFolded returns a folded history of the given original length
-// compressed into width bits. width must be in [1,32].
-func NewFolded(histLen, width int) *Folded {
-	if width < 1 || width > 32 {
-		panic("hist: folded width out of range")
-	}
-	if histLen < 0 {
-		panic("hist: negative history length")
-	}
-	return &Folded{histLen: histLen, width: width, outPos: histLen % width}
-}
-
-// Update rotates in the newest history bit and rotates out the bit
-// that just fell off the end of the histLen window. g must be the
-// global history after the newest outcome was pushed.
-func (f *Folded) Update(g *Global) {
-	if f.histLen == 0 {
-		return // an empty window folds to zero forever
-	}
-	newest := uint32(g.Bit(0))
-	f.value = (f.value << 1) | newest
-	// The bit that exits the window was pushed histLen outcomes ago.
-	oldest := uint32(g.Bit(f.histLen))
-	f.value ^= oldest << uint(f.outPos)
-	// Wrap the bit rotated past the top back to the bottom.
-	f.value ^= (f.value >> uint(f.width)) & 1
-	f.value &= (1 << uint(f.width)) - 1
-}
-
-// Value returns the folded history.
-func (f *Folded) Value() uint32 { return f.value }
-
-// Reset recomputes the folded value from scratch out of the global
-// history. Used after a speculative-history restore and by tests to
-// verify the incremental update.
-func (f *Folded) Reset(g *Global) {
-	f.value = Fold(g, f.histLen, f.width)
-}
-
-// HistLen returns the uncompressed history length.
-func (f *Folded) HistLen() int { return f.histLen }
-
-// Width returns the compressed width in bits.
-func (f *Folded) Width() int { return f.width }
-
 // Fold computes, non-incrementally, the width-bit fold of the last
-// histLen bits of g, matching Folded's incremental maintenance.
+// histLen bits of g: the cyclic shift register introduced by Michaud
+// for PPM-like predictors, which TAGE uses to compute table indices and
+// tags in O(1) per branch instead of re-hashing the whole history.
+// History bit i (0 = most recent) lands at position (i mod width), with
+// a rotation applied per insertion. FoldedBank.Push maintains the same
+// value incrementally; Reset and ResetAll recompute it with Fold.
 func Fold(g *Global, histLen, width int) uint32 {
 	var v uint32
-	// Replay insertions oldest-to-newest the same way Update does.
+	// Replay insertions oldest-to-newest the same way Push does.
 	for i := histLen - 1; i >= 0; i-- {
 		v = (v << 1) | uint32(g.Bit(i))
 		v ^= (v >> uint(width)) & 1

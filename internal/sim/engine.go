@@ -343,9 +343,8 @@ func (e *Engine) feedWindow(p predictor.Predictor, b workload.Benchmark, budget,
 		// including the episode-granular overshoot, so an unsharded
 		// run's unbounded window clamps to the identical record set a
 		// plain Feed would see.
-		recs := stream.Records()
-		res = feedRecords(p, b.Name, recs, skip, start, end)
-		finalPos = len(recs)
+		res = feedStream(p, stream, skip, start, end)
+		finalPos = stream.Len()
 	} else {
 		genEnd := end
 		if end == noLimit {

@@ -99,7 +99,7 @@ func feedSpan(p predictor.Predictor, name string, warmStart, start, end int, gen
 // feedOne feeds one record to the predictor, accumulating counters
 // into res when the record is measured (warm-up records train but do
 // not count). It is the single per-record body shared by the
-// streaming (feedSpan) and materialized (feedRecords) paths, so the
+// streaming (feedSpan) and materialized (feedStream) paths, so the
 // two can never diverge.
 func feedOne(p predictor.Predictor, res *Result, r trace.Record, measured bool) {
 	if measured {
@@ -120,24 +120,20 @@ func feedOne(p predictor.Predictor, res *Result, r trace.Record, measured bool) 
 	}
 }
 
-// feedRecords is feedSpan over a materialized stream: it pulls records
-// straight from the read-only slice a workload.StreamCache handed out,
-// with the window clamped to the slice. Record i of the slice plays
-// the role of stream position i, so feedRecords(p, name, recs,
-// warmStart, start, end) produces the exact counters
-// feedSpan(p, name, warmStart, start, end, gen) would when gen emits
-// recs in order. The callback path stays for true streaming sources
-// (RunReader, oversized streams the cache declines to materialize).
-func feedRecords(p predictor.Predictor, name string, recs []trace.Record, warmStart, start, end int) Result {
-	res := Result{Trace: name, Predictor: p.Name()}
-	if warmStart < 0 {
-		warmStart = 0
-	}
-	if end > len(recs) {
-		end = len(recs)
-	}
+// feedStream is feedSpan over a materialized stream: it reads records
+// through the stream's decoding accessor, with the window clamped to
+// the stream. Record i of the stream plays the role of stream position
+// i, so feedStream(p, st, warmStart, start, end) produces the exact
+// counters feedSpan(p, st.Name(), warmStart, start, end, gen) would
+// when gen emits the stream in order. The callback path stays for true
+// streaming sources (RunReader, streams the cache declines to
+// materialize).
+func feedStream(p predictor.Predictor, st *workload.Stream, warmStart, start, end int) Result {
+	res := Result{Trace: st.Name(), Predictor: p.Name()}
+	warmStart = max(warmStart, 0)
+	end = min(end, st.Len())
 	for i := warmStart; i < end; i++ {
-		feedOne(p, &res, recs[i], i >= start)
+		feedOne(p, &res, st.At(i), i >= start)
 	}
 	return res
 }

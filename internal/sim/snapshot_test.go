@@ -12,16 +12,22 @@ import (
 	"repro/internal/workload"
 )
 
-// materialize returns the first records of a benchmark's deterministic
-// stream.
-func materialize(t *testing.T, name string, budget int) []trace.Record {
+// mustBench returns the named benchmark.
+func mustBench(t *testing.T, name string) workload.Benchmark {
 	t.Helper()
 	b, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+// materialize returns the first records of a benchmark's deterministic
+// stream.
+func materialize(t *testing.T, name string, budget int) []trace.Record {
+	t.Helper()
 	var recs []trace.Record
-	b.Generate(budget, func(r trace.Record) { recs = append(recs, r) })
+	mustBench(t, name).Generate(budget, func(r trace.Record) { recs = append(recs, r) })
 	return recs
 }
 
@@ -101,21 +107,25 @@ func TestSnapshotRestoreEveryRegistryConfig(t *testing.T) {
 // counters and byte-identical final state.
 func TestSnapshotPristineResetEqualsFresh(t *testing.T) {
 	const n = 20000
-	first, second := materialize(t, "SPEC2K6-04", n), materialize(t, "SPEC2K6-12", n)
+	streams := workload.NewStreamCache(0, "")
+	first, second := streams.Get(mustBench(t, "SPEC2K6-04"), n), streams.Get(mustBench(t, "SPEC2K6-12"), n)
+	if first == nil || second == nil {
+		t.Fatal("streams not materialized")
+	}
 	for _, cfg := range predictor.Names() {
 		builder := builderFor(cfg)
 		pool := &predictorPool{name: cfg, limit: 1}
 		used := pool.fresh(builder)
-		feedRecords(used, "SPEC2K6-04", first, 0, 0, noLimit)
+		feedStream(used, first, 0, 0, noLimit)
 		pool.put(used)
 		reset := pool.fresh(builder)
 		if reset != used {
 			t.Fatalf("%s: the pool built a new predictor instead of resetting its free one", cfg)
 		}
-		got := feedRecords(reset, "SPEC2K6-12", second, 0, 0, noLimit)
+		got := feedStream(reset, second, 0, 0, noLimit)
 
 		fresh := builder()
-		want := feedRecords(fresh, "SPEC2K6-12", second, 0, 0, noLimit)
+		want := feedStream(fresh, second, 0, 0, noLimit)
 		if got != want {
 			t.Errorf("%s: after a pristine reset %+v, newly built %+v", cfg, got, want)
 		}

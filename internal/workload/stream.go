@@ -9,20 +9,33 @@ import (
 
 // This file is the materialized-stream layer (DESIGN.md §6): each
 // benchmark's deterministic record stream is generated **once** per
-// (trace name, seed, budget) into a compact in-memory buffer and
-// handed out as a read-only []trace.Record slice, so the simulation
-// engine's shards — and every configuration of a batch run sharing the
-// cache — stop paying O(shards × budget) regeneration work. A caller
-// that reads a stream once asks through GetAdmitted, which materializes
-// it only from its key's second request.
+// (trace name, seed, budget) into a compact in-memory buffer of
+// 12-byte records and handed out as a read-only Stream, so the
+// simulation engine's shards — and every configuration of a batch run
+// sharing the cache — stop paying O(shards × budget) regeneration
+// work. A caller that reads a stream once asks through GetAdmitted,
+// which materializes it only from its key's second request.
 
 // DefaultStreamMemory is the resident-byte bound a zero-configured
-// StreamCache uses. At ~24 bytes per record it holds dozens of
-// full-size (250K-record) benchmark streams.
+// StreamCache uses. At 12 bytes per record it holds 89 full-size
+// (250K-record) benchmark streams.
 const DefaultStreamMemory = 256 << 20
 
-// recordBytes is the accounting cost of one resident trace.Record.
-const recordBytes = int64(24) // 2×uint64 + kind + taken + gap, padded
+// record is one resident trace.Record with its addresses narrowed to
+// 32 bits: every synthetic benchmark's PCs and targets fit, so a
+// record takes half of trace.Record's 24 bytes. A stream with a wider
+// address is declined, never truncated (see materialize).
+type record struct {
+	pc, target uint32
+	kind       trace.Kind
+	taken      bool
+	gap        uint8
+}
+
+// recordBytes is the accounting cost of one resident record: two
+// uint32 addresses plus kind, taken and gap, padded to 4-byte
+// alignment. A test pins it to the record layout.
+const recordBytes = int64(12)
 
 // seenKeys bounds how many declined first requests GetAdmitted
 // remembers. A key's second reader must arrive within this many other
@@ -33,20 +46,37 @@ const recordBytes = int64(24) // 2×uint64 + kind + taken + gap, padded
 const seenKeys = 4096
 
 // Stream is the materialized record stream of one benchmark at one
-// budget. The slice may run a few records past the budget: generation
-// stops at episode granularity (see Generate), and the overshoot is
-// part of the deterministic stream an unsharded run measures.
+// budget. It may run a few records past the budget: generation stops
+// at episode granularity (see Generate), and the overshoot is part of
+// the deterministic stream an unsharded run measures. A Stream is
+// read-only and safe for concurrent readers.
 type Stream struct {
 	name string
-	recs []trace.Record
+	recs []record
 }
 
 // Name returns the benchmark name the stream was generated from.
 func (s *Stream) Name() string { return s.name }
 
-// Records returns the materialized stream. The slice is shared and
-// MUST be treated as read-only by all callers.
-func (s *Stream) Records() []trace.Record { return s.recs }
+// Len returns the number of records in the stream.
+func (s *Stream) Len() int { return len(s.recs) }
+
+// At returns record i of the stream, exactly as Generate emitted it.
+func (s *Stream) At(i int) trace.Record {
+	r := &s.recs[i]
+	return trace.Record{PC: uint64(r.pc), Target: uint64(r.target), Kind: r.kind, Taken: r.taken, InstrGap: r.gap}
+}
+
+// Records returns a decoded copy of the whole stream, at trace.Record's
+// full 24 bytes a record. Readers that walk the stream use Len and At,
+// which allocate nothing.
+func (s *Stream) Records() []trace.Record {
+	out := make([]trace.Record, len(s.recs))
+	for i := range s.recs {
+		out[i] = s.At(i)
+	}
+	return out
+}
 
 // Bytes returns the resident size the stream is accounted at.
 func (s *Stream) Bytes() int64 { return int64(cap(s.recs)) * recordBytes }
@@ -71,12 +101,14 @@ type StreamStats struct {
 	// Generated is the number of materializations (each one full
 	// Benchmark.Generate run into a resident buffer). A first request
 	// GetAdmitted declines is not counted: its caller generates the
-	// records itself. A warm-up-sharded suite run over n benchmarks that
+	// records itself. Nor is a stream declined for an address wider
+	// than 32 bits. A warm-up-sharded suite run over n benchmarks that
 	// shares one cache generates exactly n streams, regardless of shard
 	// and configuration counts; an unsharded one generates n from its
 	// second configuration on, and none for a single configuration.
 	Generated uint64
-	// Hits is the number of Gets served from a resident stream.
+	// Hits is the number of Gets that found their stream resident or
+	// being generated (a waiter on a declined stream counts too).
 	Hits uint64
 	// ResidentBytes and ResidentStreams describe what the LRU holds.
 	ResidentBytes   int64
@@ -140,8 +172,9 @@ func (c *StreamCache) Stats() StreamStats {
 
 // Get returns the materialized stream of b at the given budget,
 // generating it on first use. It returns nil when the stream alone
-// would exceed the cache's memory bound — callers must then fall back
-// to streaming generation.
+// would exceed the cache's memory bound, or when it holds a PC or
+// target wider than 32 bits — callers must then fall back to
+// streaming generation.
 func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 	return c.get(b, budget, false)
 }
@@ -188,22 +221,22 @@ func (c *StreamCache) get(b Benchmark, budget int, admit bool) *Stream {
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	recs := make([]trace.Record, 0, budget+64)
-	b.Generate(budget, func(r trace.Record) { recs = append(recs, r) })
-	if cap(recs) > len(recs)+64 {
-		// A large final episode forced the buffer to double; trim so
-		// resident accounting reflects what is actually held.
-		recs = append(make([]trace.Record, 0, len(recs)), recs...)
+	var st *Stream
+	if recs := materialize(b, budget); recs != nil {
+		st = &Stream{name: b.Name, recs: recs}
 	}
-	st := &Stream{name: b.Name, recs: recs}
 
 	c.mu.Lock()
 	e.stream = st
-	c.generated++
-	if st.Bytes() > c.maxBytes {
-		// Generation overshoots the budget at episode granularity, so
-		// a stream can come out larger than the pre-generation
-		// estimate admitted. Hand it to the waiters but do not keep it
+	if st != nil {
+		c.generated++
+	}
+	if st == nil || st.Bytes() > c.maxBytes {
+		// A declined stream reaches its waiters as nil, and dropping
+		// the entry keeps a later Get from waiting on it. Generation
+		// also overshoots the budget at episode granularity, so a
+		// stream can come out larger than the pre-generation estimate
+		// admitted. Hand it to the waiters but do not keep it
 		// resident: the bound is a promise.
 		delete(c.entries, key)
 	} else {
@@ -214,6 +247,29 @@ func (c *StreamCache) get(b Benchmark, budget int, admit bool) *Stream {
 	c.mu.Unlock()
 	close(e.ready)
 	return st
+}
+
+// materialize generates b's stream at budget into packed records. It
+// returns nil, keeping nothing, when a PC or target needs more than 32
+// bits: such a stream cannot be stored in a record.
+func materialize(b Benchmark, budget int) []record {
+	recs := make([]record, 0, budget+64) // never nil: nil marks a decline
+	b.Generate(budget, func(r trace.Record) {
+		if recs == nil {
+			return
+		}
+		if (r.PC|r.Target)>>32 != 0 {
+			recs = nil
+			return
+		}
+		recs = append(recs, record{pc: uint32(r.PC), target: uint32(r.Target), kind: r.Kind, taken: r.Taken, gap: r.InstrGap})
+	})
+	if cap(recs) > len(recs)+64 {
+		// A large final episode forced the buffer to double; trim so
+		// resident accounting reflects what is actually held.
+		recs = append(make([]record, 0, len(recs)), recs...)
+	}
+	return recs
 }
 
 // evictLocked drops least-recently-used streams until the resident set

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/num"
 	"repro/internal/trace"
@@ -111,20 +113,146 @@ func TestStreamDistinctBudgetsAreDistinctStreams(t *testing.T) {
 func TestStreamLRUBound(t *testing.T) {
 	b1 := mustBench(t, "MM-4")
 	b2 := mustBench(t, "MM-5")
-	// Budget 1000 → ~24KB per stream; bound fits one stream only.
-	c := NewStreamCache(40<<10, "")
-	c.Get(b1, 1000)
-	c.Get(b2, 1000) // evicts b1
+	// A stream at budget 1000 is accounted at its 1000+64-record
+	// buffer; a bound of one and a half such streams fits one only.
+	const budget = 1000
+	bound := (budget + 64) * recordBytes * 3 / 2
+	c := NewStreamCache(bound, "")
+	c.Get(b1, budget)
+	c.Get(b2, budget) // evicts b1
 	st := c.Stats()
 	if st.ResidentStreams != 1 {
 		t.Errorf("resident streams = %d, want 1 under the bound", st.ResidentStreams)
 	}
-	if st.ResidentBytes > 40<<10 {
-		t.Errorf("resident bytes = %d exceeds the 40KiB bound", st.ResidentBytes)
+	if st.ResidentBytes > bound {
+		t.Errorf("resident bytes = %d exceed the %d-byte bound", st.ResidentBytes, bound)
 	}
-	c.Get(b1, 1000) // must regenerate
+	c.Get(b1, budget) // must regenerate
 	if g := c.Stats().Generated; g != 3 {
 		t.Errorf("Generated = %d after eviction round-trip, want 3", g)
+	}
+}
+
+// TestStreamRecordLayout pins recordBytes, the resident accounting, to
+// the packed record's real size.
+func TestStreamRecordLayout(t *testing.T) {
+	if got := int64(unsafe.Sizeof(record{})); got != recordBytes {
+		t.Fatalf("a resident record takes %d bytes, accounted at %d", got, recordBytes)
+	}
+}
+
+// wideKernel emits ordinary conditional branches, then one at a site
+// whose PC or target needs more than 32 bits. gate, when set, runs at
+// the start of every episode.
+type wideKernel struct {
+	narrow, wide site
+	gate         func()
+}
+
+func (k *wideKernel) episode(e *emitter) {
+	if k.gate != nil {
+		k.gate()
+	}
+	for i := 0; i < 10; i++ {
+		e.cond(k.narrow, i%2 == 0)
+	}
+	e.cond(k.wide, true)
+}
+
+// wideBench is a benchmark of one wideKernel whose wide site is w.
+func wideBench(w site, gate func()) Benchmark {
+	return Benchmark{Name: "wide-address", Suite: "test", Seed: 1,
+		parts: []part{{weight: 1, mk: func(rng *num.Rand, alloc *siteAlloc) kernel {
+			return &wideKernel{narrow: alloc.fwd(), wide: w, gate: gate}
+		}}}}
+}
+
+// TestStreamWideAddressDeclined: a stream with a PC or target that
+// needs more than 32 bits is declined, not truncated. Get and both
+// GetAdmitted requests return nil, nothing stays resident or counts as
+// generated, and no entry is left for a later request to wait on.
+func TestStreamWideAddressDeclined(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wide site
+	}{
+		{"pc", site{pc: 1 << 32, target: 1<<32 + 64, kind: trace.CondDirect}},
+		{"target", site{pc: 0x400000, target: 1 << 32, kind: trace.CondDirect}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := wideBench(tc.wide, nil)
+			c := NewStreamCache(0, "")
+			if c.GetAdmitted(b, 2000) != nil {
+				t.Error("first admitted request returned a stream")
+			}
+			if c.GetAdmitted(b, 2000) != nil {
+				t.Error("second admitted request returned a stream")
+			}
+			if c.Get(b, 2000) != nil {
+				t.Error("Get returned a stream")
+			}
+			if st := c.Stats(); st.Generated != 0 || st.ResidentStreams != 0 || st.ResidentBytes != 0 {
+				t.Errorf("after declines: Generated %d, %d streams and %d bytes resident; want all 0",
+					st.Generated, st.ResidentStreams, st.ResidentBytes)
+			}
+			if n := len(c.entries); n != 0 {
+				t.Errorf("%d entries left after declines, want 0", n)
+			}
+		})
+	}
+}
+
+// TestStreamWideAddressDeclinedToWaiters: callers that arrive while the
+// first Get generates a wide stream wait on it and get nil too, and a
+// later Get of the key does not block.
+func TestStreamWideAddressDeclinedToWaiters(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	gate := func() {
+		once.Do(func() {
+			close(started)
+			<-release
+		})
+	}
+	b := wideBench(site{pc: 0x400000, target: 1 << 32, kind: trace.CondDirect}, gate)
+	c := NewStreamCache(0, "")
+	const waiters = 8
+	results := make([]*Stream, waiters+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		results[0] = c.Get(b, 2000)
+	}()
+	<-started
+	for i := 1; i <= waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				results[i] = c.Get(b, 2000)
+			} else {
+				results[i] = c.GetAdmitted(b, 2000)
+			}
+		}(i)
+	}
+	// Every waiter counts a hit when it finds the in-flight entry.
+	for c.Stats().Hits < waiters {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	for i, st := range results {
+		if st != nil {
+			t.Errorf("caller %d got a stream", i)
+		}
+	}
+	if st := c.Stats(); st.Generated != 0 || st.ResidentStreams != 0 || st.ResidentBytes != 0 {
+		t.Errorf("after the decline: Generated %d, %d streams and %d bytes resident; want all 0",
+			st.Generated, st.ResidentStreams, st.ResidentBytes)
+	}
+	if c.Get(b, 2000) != nil {
+		t.Error("a later Get returned a stream")
 	}
 }
 
