@@ -316,14 +316,14 @@ func BenchmarkStreamMaterialization(b *testing.B) {
 	}
 }
 
-// BenchmarkRunItem measures the per-item cost a fleet worker pays: a
-// 2K-record gshare item through Engine.RunItem, where set-up (name
-// checks, benchmark lookup, predictor construction, stream
-// materialization) outweighs the simulation itself. Iterations walk
-// the cbp4 traces at budgets 2000..2999, so every item asks for a new
-// (trace, budget) stream and the stream cache misses as it does for a
-// fleet of distinct jobs; the cache is kept small so the benchmark's
-// memory stays bounded.
+// BenchmarkRunItem measures the per-item cost a worker pays when no
+// resident stream serves its items: a 2K-record gshare item through
+// Engine.RunItem, where set-up (name checks, benchmark lookup, the
+// pooled predictor's reset) comes on top of generating the records
+// straight into the predictor. Iterations walk the cbp4 traces at
+// budgets 2000..2999, so each trace's budgets only ascend and the
+// stream cache declines every request; the cache is kept small so the
+// benchmark's memory stays bounded.
 func BenchmarkRunItem(b *testing.B) {
 	e := sim.NewEngine(sim.EngineConfig{Workers: 1, StreamMemory: 16 << 20})
 	benches := workload.CBP4()
@@ -335,6 +335,40 @@ func BenchmarkRunItem(b *testing.B) {
 		item := sim.ItemSpec{Config: "gshare", Suite: "cbp4", Bench: bench.Name, Seed: bench.Seed,
 			Budget: 2000 + (i/len(benches))%1000, Shards: 1, Warmup: sim.DefaultShardWarmup}
 		if _, err := e.RunItem(ctx, item); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunItemResident measures the per-item cost of a fleet
+// worker's steady state: the same items as BenchmarkRunItem, but in
+// jobs at budgets 2000..2099 taken out of order, once each cbp4
+// trace's stream is resident at 2099, so every item is served from it
+// and generates nothing.
+func BenchmarkRunItemResident(b *testing.B) {
+	e := sim.NewEngine(sim.EngineConfig{Workers: 1, StreamMemory: 16 << 20})
+	benches := workload.CBP4()
+	ctx := context.Background()
+	item := func(bench workload.Benchmark, budget int) sim.ItemSpec {
+		return sim.ItemSpec{Config: "gshare", Suite: "cbp4", Bench: bench.Name, Seed: bench.Seed,
+			Budget: budget, Shards: 1, Warmup: sim.DefaultShardWarmup}
+	}
+	// A trace's second request materializes its stream at the longest
+	// budget asked so far.
+	for _, budget := range []int{2099, 2098} {
+		for _, bench := range benches {
+			if _, err := e.RunItem(ctx, item(bench, budget)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Job i/40 asks for every trace at one budget; stride 37 over
+		// the 100 budgets visits them all out of order.
+		job := i / len(benches)
+		if _, err := e.RunItem(ctx, item(benches[i%len(benches)], 2000+job*37%100)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,7 +143,8 @@ func WithCacheDir(dir string) Option { return func(o *engineOptions) { o.cfg.Cac
 
 // WithStreamCache bounds the resident memory of materialized benchmark
 // streams (each benchmark's record stream is generated once per run
-// and shared across shards and configurations; see DESIGN.md §6).
+// and shared across shards, configurations and every budget up to its
+// length; see DESIGN.md §6).
 // 0 selects the default bound; a negative value disables
 // materialization so every shard regenerates its stream prefix.
 func WithStreamCache(maxBytes int64) Option {

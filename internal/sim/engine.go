@@ -325,9 +325,11 @@ func (e *Engine) RunSuiteContext(ctx context.Context, builder func() predictor.P
 // warm-up window or already incorporated in a restored snapshot),
 // records in [skip, start) train the predictor unmeasured, and records
 // in [start, end) are measured. It prefers the materialized stream
-// (DESIGN.md §6) and falls back to callback generation. once reports
-// that the item reads the stream a single time: the cache then
-// materializes it only for a key's second reader
+// (DESIGN.md §6), which the cache serves from b's resident stream at
+// any budget within its length, and falls back to callback generation.
+// once reports that the item reads the stream a single time: the cache
+// then declines a request no resident stream serves until the trace's
+// stream is asked for again within the longest budget it declined
 // (StreamCache.GetAdmitted). Returns the measured result, the stream
 // position the predictor ended at, and the number of records actually
 // fed.
@@ -339,10 +341,10 @@ func (e *Engine) feedWindow(p predictor.Predictor, b workload.Benchmark, budget,
 		stream = e.streams.Get(b, budget)
 	}
 	if stream != nil {
-		// The materialized stream is the full Generate(budget) output
-		// including the episode-granular overshoot, so an unsharded
-		// run's unbounded window clamps to the identical record set a
-		// plain Feed would see.
+		// The served stream is exactly the Generate(budget) output,
+		// including the overshoot to the next budget check, so an
+		// unsharded run's unbounded window clamps to the identical
+		// record set a plain Feed would see.
 		res = feedStream(p, stream, skip, start, end)
 		finalPos = stream.Len()
 	} else {
@@ -418,11 +420,11 @@ func (e *Engine) loadItem(item ItemSpec, emit func(shard int, hit bool)) (Result
 // engine's pool for its configuration and goes back to it when the
 // item ends. A plain shard reads its window of
 // the benchmark's materialized stream (generated once per (trace,
-// seed, budget) and shared across shards and configurations; see
+// seed) and shared across shards, configurations and budgets; see
 // DESIGN.md §6), discards records before its warm-up window, trains
 // unmeasured through the window, and measures its segment. An
 // unsharded run reads its stream once, so it materializes the stream
-// only when the key was requested before. Unsharded
+// only when the trace was requested before. Unsharded
 // runs and exact chains measure the whole stream from record 0; with
 // the snapshot layer on they first resume from the longest cached
 // prefix within the budget and snapshot their state at the end, and an

@@ -151,35 +151,64 @@ func TestPredictorPoolReusesCanceledChain(t *testing.T) {
 	}
 }
 
-// TestRunItemAllocBudget is the per-item allocation gate: a steady-state
-// unsharded gshare item of ~2K records, each on a key of its own as
-// fleet jobs are, neither builds a predictor nor materializes a stream.
-// Building one costs a 64 KB table and materializing ~48 KB, so an item
-// that does either busts the budget.
+// TestRunItemAllocBudget is the per-item allocation gate for a
+// steady-state unsharded gshare item of ~2K records, in two traffic
+// orders. Ascending: each trace's budget rises item by item, so the
+// stream cache declines every request and the item neither builds a
+// predictor nor materializes a stream. Building one costs a 64 KB
+// table and materializing ~25 KB, so an item that does either busts
+// the 16 KB budget. Fleet: once each trace's stream is resident at
+// budget 2099, items at budgets 2000–2099 out of order, as fleet jobs
+// ask for them, are served from it and generate nothing; they are held
+// to 1 KB.
 func TestRunItemAllocBudget(t *testing.T) {
-	const budget, warm, items = 2000, 50, 200
-	const maxBytesPerItem = 16 << 10
+	const items = 200
 	benches := workload.CBP4()
-	e := NewEngine(EngineConfig{Workers: 1})
-	ctx := context.Background()
-	run := func(i int) {
-		b := benches[i%len(benches)]
-		if _, err := e.RunItem(ctx, e.item("gshare", "cbp4", b, budget+i/len(benches), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < warm; i++ {
-		run(i)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := warm; i < warm+items; i++ {
-		run(i)
-	}
-	runtime.ReadMemStats(&after)
-	perItem := (after.TotalAlloc - before.TotalAlloc) / items
-	t.Logf("%d B and %.1f allocs per item", perItem, float64(after.Mallocs-before.Mallocs)/items)
-	if perItem > maxBytesPerItem {
-		t.Errorf("a steady-state item allocates %d B, budget %d B", perItem, maxBytesPerItem)
+	for _, tc := range []struct {
+		name            string
+		warm            int
+		budget          func(i int) int
+		maxBytesPerItem uint64
+	}{
+		{"ascending", 50, func(i int) int { return 2000 + i/len(benches) }, 16 << 10},
+		// The warm-up asks for each trace at 2099, then 2098: the second
+		// request materializes the stream at the longest budget asked.
+		// Then job i/40 asks for every trace at one budget, stride 37
+		// over the 100 budgets taking them out of order.
+		{"fleet", 2 * len(benches), func(i int) int {
+			if job := i / len(benches); job >= 2 {
+				return 2000 + job*37%100
+			}
+			return 2099 - i/len(benches)
+		}, 1 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(EngineConfig{Workers: 1})
+			ctx := context.Background()
+			run := func(i int) {
+				b := benches[i%len(benches)]
+				if _, err := e.RunItem(ctx, e.item("gshare", "cbp4", b, tc.budget(i), 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < tc.warm; i++ {
+				run(i)
+			}
+			generated := e.Streams().Stats().Generated
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := tc.warm; i < tc.warm+items; i++ {
+				run(i)
+			}
+			runtime.ReadMemStats(&after)
+			perItem := (after.TotalAlloc - before.TotalAlloc) / items
+			t.Logf("%d B and %.1f allocs per item", perItem, float64(after.Mallocs-before.Mallocs)/items)
+			if perItem > tc.maxBytesPerItem {
+				t.Errorf("a steady-state item allocates %d B, budget %d B", perItem, tc.maxBytesPerItem)
+			}
+			if g := e.Streams().Stats().Generated; g != generated {
+				t.Errorf("steady-state items materialized %d streams, want none", g-generated)
+			}
+		})
 	}
 }

@@ -16,13 +16,26 @@ import (
 // emitter collects records from kernels and enforces the branch
 // budget.
 type emitter struct {
-	sink  func(trace.Record)
+	sink func(trace.Record)
+	// check, when set, is called at every budget check, before the
+	// check is answered: materialization marks the record the check
+	// follows (see StreamCache).
+	check func()
 	rng   *num.Rand
 	count int
 	limit int
 }
 
-func (e *emitter) more() bool { return e.count < e.limit }
+// more is the budget check: generation stops at the first one made
+// with count records emitted and count >= limit. Kernels call it only
+// between iterations, so a stream overshoots its budget to the next
+// check.
+func (e *emitter) more() bool {
+	if e.check != nil {
+		e.check()
+	}
+	return e.count < e.limit
+}
 
 func (e *emitter) gap() uint8 { return uint8(3 + e.rng.Intn(7)) }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"container/list"
+	"math"
 	"sync"
 
 	"repro/internal/trace"
@@ -9,12 +10,14 @@ import (
 
 // This file is the materialized-stream layer (DESIGN.md §6): each
 // benchmark's deterministic record stream is generated **once** per
-// (trace name, seed, budget) into a compact in-memory buffer of
-// 12-byte records and handed out as a read-only Stream, so the
-// simulation engine's shards — and every configuration of a batch run
+// (trace name, seed) into a compact in-memory buffer of 12-byte
+// records and handed out as read-only Streams, so the simulation
+// engine's shards — and every configuration and budget of a batch run
 // sharing the cache — stop paying O(shards × budget) regeneration
-// work. A caller that reads a stream once asks through GetAdmitted,
-// which materializes it only from its key's second request.
+// work. Generate(b) is a prefix of Generate(B) for b ≤ B, so one
+// resident stream serves every budget up to its length. A caller that
+// reads a stream once asks through GetAdmitted, which materializes it
+// only from its key's second request.
 
 // DefaultStreamMemory is the resident-byte bound a zero-configured
 // StreamCache uses. At 12 bytes per record it holds 89 full-size
@@ -30,25 +33,30 @@ type record struct {
 	kind       trace.Kind
 	taken      bool
 	gap        uint8
+	// check marks a record after which generation checked its budget:
+	// Generate at any budget that reaches this record stops here if
+	// the budget is spent (see prefix).
+	check bool
 }
 
 // recordBytes is the accounting cost of one resident record: two
-// uint32 addresses plus kind, taken and gap, padded to 4-byte
-// alignment. A test pins it to the record layout.
+// uint32 addresses plus kind, taken, gap and the check flag. A test
+// pins it to the record layout.
 const recordBytes = int64(12)
 
-// seenKeys bounds how many declined first requests GetAdmitted
-// remembers. A key's second reader must arrive within this many other
-// single-reader keys to find it remembered; an engine's suite run asks
-// for one key per benchmark (a full cbp4+cbp3 run is 80), and a fleet
-// worker for one per leased item. At ~100 bytes a key the set stays
-// under half a MiB.
+// seenKeys bounds how many keys GetAdmitted remembers a declined
+// request for. A key's second reader must arrive within this many
+// other single-reader keys to find it remembered; keys are per trace
+// and seed, so an engine's suite run asks for one key per benchmark
+// (a full cbp4+cbp3 run is 80), whatever its budgets. At ~100 bytes a
+// key the set stays under half a MiB.
 const seenKeys = 4096
 
 // Stream is the materialized record stream of one benchmark at one
-// budget. It may run a few records past the budget: generation stops
-// at episode granularity (see Generate), and the overshoot is part of
-// the deterministic stream an unsharded run measures. A Stream is
+// budget: exactly the records Generate emits at that budget. It may
+// run a few records past the budget: generation stops at its next
+// budget check (see Generate), and the overshoot is part of the
+// deterministic stream an unsharded run measures. A Stream is
 // read-only and safe for concurrent readers.
 type Stream struct {
 	name string
@@ -78,34 +86,66 @@ func (s *Stream) Records() []trace.Record {
 	return out
 }
 
-// Bytes returns the resident size the stream is accounted at.
+// Bytes returns the size the stream's records are accounted at.
 func (s *Stream) Bytes() int64 { return int64(cap(s.recs)) * recordBytes }
 
-// streamKey identifies one materialized stream: everything generation
-// is a pure function of.
-type streamKey struct {
-	name   string
-	seed   uint64
-	budget int
+// prefix returns the stream Generate(budget) emits, served from s: it
+// stops at its first budget check made with at least budget records
+// emitted, and every run makes the same checks until it stops. It
+// returns s itself when that is the whole of s, and nil when s holds
+// no check at or past budget. A materialized stream ends at a check,
+// so that happens only when s is shorter than budget.
+func (s *Stream) prefix(budget int) *Stream {
+	for i := budget - 1; i < len(s.recs); i++ {
+		if !s.recs[i].check {
+			continue
+		}
+		if n := i + 1; n < len(s.recs) {
+			return &Stream{name: s.name, recs: s.recs[:n:n]}
+		}
+		return s
+	}
+	return nil
 }
 
+// streamKey identifies one benchmark's stream: everything generation
+// is a pure function of, but the budget.
+type streamKey struct {
+	name string
+	seed uint64
+}
+
+// streamEntry is one key's resident stream and its generation in
+// flight, either of which may be absent.
 type streamEntry struct {
 	key    streamKey
-	ready  chan struct{} // closed once stream is set
+	stream *Stream       // the resident stream, nil when none is
+	elem   *list.Element // position in the LRU list while stream is set
+	build  *streamBuild
+}
+
+// streamBuild is one generation of a key's stream at budget. stream
+// is set before done closes, and stays nil when the stream is
+// declined or its generation panics.
+type streamBuild struct {
+	budget int
+	done   chan struct{}
 	stream *Stream
-	elem   *list.Element // position in the LRU list; nil once evicted
 }
 
 // StreamStats counts what a StreamCache did across its lifetime.
 type StreamStats struct {
 	// Generated is the number of materializations (each one full
-	// Benchmark.Generate run into a resident buffer). A first request
+	// Benchmark.Generate run into a resident buffer). A request
 	// GetAdmitted declines is not counted: its caller generates the
 	// records itself. Nor is a stream declined for an address wider
-	// than 32 bits. A warm-up-sharded suite run over n benchmarks that
-	// shares one cache generates exactly n streams, regardless of shard
-	// and configuration counts; an unsharded one generates n from its
-	// second configuration on, and none for a single configuration.
+	// than 32 bits. A stream serves every budget up to its length, so
+	// a warm-up-sharded suite run over n benchmarks that shares one
+	// cache generates exactly n streams, regardless of shard and
+	// configuration counts; an unsharded one generates n from its
+	// second configuration on, and none for a single configuration. A
+	// request longer than the resident stream generates the key's
+	// stream again.
 	Generated uint64
 	// Hits is the number of Gets that found their stream resident or
 	// being generated (a waiter on a declined stream counts too).
@@ -117,11 +157,10 @@ type StreamStats struct {
 
 // StreamCache materializes benchmark streams once and bounds their
 // resident memory with an LRU; GetAdmitted adds the single-reader
-// admission rule. A cache is safe for concurrent use;
-// concurrent Gets of the same stream generate it exactly once (the
-// losers block until the winner finishes). Streams live only in
-// memory: regenerating one is faster than reading it back from disk
-// (DESIGN.md §6).
+// admission rule. A cache is safe for concurrent use; concurrent Gets
+// of one stream generate it exactly once (the losers block until the
+// winner finishes). Streams live only in memory: regenerating one is
+// faster than reading it back from disk (DESIGN.md §6).
 type StreamCache struct {
 	maxBytes int64
 
@@ -129,10 +168,11 @@ type StreamCache struct {
 	entries map[streamKey]*streamEntry
 	order   *list.List // front = most recently used
 	bytes   int64
-	// seen holds the keys whose first request GetAdmitted declined, at
-	// most seenKeys of them; seenOrder lists them oldest first from
-	// index seenNext, and the oldest is forgotten first.
-	seen      map[streamKey]struct{}
+	// seen maps each key GetAdmitted declined a request for to the
+	// longest budget it declined, for at most seenKeys keys; seenOrder
+	// lists them oldest first from index seenNext, and the oldest is
+	// forgotten first.
+	seen      map[streamKey]int
 	seenOrder []streamKey
 	seenNext  int
 
@@ -154,7 +194,7 @@ func NewStreamCache(maxBytes int64, spillDir string) *StreamCache {
 		maxBytes: maxBytes,
 		entries:  map[streamKey]*streamEntry{},
 		order:    list.New(),
-		seen:     map[streamKey]struct{}{},
+		seen:     map[streamKey]int{},
 	}
 }
 
@@ -170,91 +210,145 @@ func (c *StreamCache) Stats() StreamStats {
 	}
 }
 
-// Get returns the materialized stream of b at the given budget,
-// generating it on first use. It returns nil when the stream alone
-// would exceed the cache's memory bound, or when it holds a PC or
-// target wider than 32 bits — callers must then fall back to
-// streaming generation.
+// Get returns the materialized stream of b at the given budget. A
+// resident stream of b at least that long serves it with no
+// generation; otherwise b's stream is generated, at the longest budget
+// GetAdmitted declined for it if that is longer, and replaces the
+// resident one (readers of the old stream keep it). It returns nil
+// when the stream alone would exceed the cache's memory bound, or when
+// it holds a PC or target wider than 32 bits — callers must then fall
+// back to streaming generation.
 func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 	return c.get(b, budget, false)
 }
 
-// GetAdmitted is Get for a caller that reads the stream once. A key's
-// first request returns nil and only records the key; the caller then
-// generates the records itself, which costs what materializing them
-// would without keeping a buffer nobody reads again. From the key's
-// second request on, GetAdmitted is Get: the second materializes the
-// stream and later ones hit it. The cache remembers the last seenKeys
-// declined keys; a key requested again after that many others is a
-// first request again.
+// GetAdmitted is Get for a caller that reads the stream once. A
+// request no resident stream serves returns nil when it is the key's
+// first or asks for more than any declined request of the key did; it
+// then records its budget as the key's longest declined one, and the
+// caller generates the records itself, which costs what materializing
+// them would without keeping a buffer nobody reads again. A request
+// within the longest declined budget is Get at that budget: it
+// materializes the longest prefix requested so far, and later
+// requests up to it hit. So same-budget traffic materializes on a
+// key's second request, strictly ascending budgets materialize
+// nothing, and shuffled ones at most once per new longest request.
+// The cache remembers declines for the last seenKeys keys; a key
+// requested again after that many others is a first request again.
 func (c *StreamCache) GetAdmitted(b Benchmark, budget int) *Stream {
 	return c.get(b, budget, true)
 }
 
 // get is Get, and GetAdmitted when admit is set.
 func (c *StreamCache) get(b Benchmark, budget int, admit bool) *Stream {
-	if budget <= 0 {
-		return nil
-	}
 	// A stream that cannot fit resident at all is not worth
 	// materializing: the caller's streaming path runs in O(1) memory.
-	if (int64(budget)+64)*recordBytes > c.maxBytes {
+	// The bound is divided rather than the budget multiplied, and the
+	// buffer's capacity, budget+64, must fit an int, so no budget can
+	// wrap either estimate.
+	if budget <= 0 || int64(budget) > min(c.maxBytes/recordBytes, math.MaxInt)-64 {
 		return nil
 	}
-	key := streamKey{name: b.Name, seed: b.Seed, budget: budget}
+	key := streamKey{name: b.Name, seed: b.Seed}
 
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		if e.elem != nil {
-			c.order.MoveToFront(e.elem)
+	for {
+		e := c.entries[key]
+		if e == nil {
+			break
 		}
-		c.hits++
+		if e.stream != nil {
+			if st := e.stream.prefix(budget); st != nil {
+				c.order.MoveToFront(e.elem)
+				c.hits++
+				c.mu.Unlock()
+				return st
+			}
+		}
+		bd := e.build
+		if bd == nil {
+			break
+		}
+		if bd.budget >= budget {
+			c.hits++
+			c.mu.Unlock()
+			<-bd.done
+			if bd.stream == nil {
+				return nil
+			}
+			return bd.stream.prefix(budget)
+		}
+		// The generation in flight asks for less than this request, but
+		// its overshoot may still cover it: wait for it and look again.
 		c.mu.Unlock()
-		<-e.ready
-		return e.stream
+		<-bd.done
+		c.mu.Lock()
 	}
-	if admit && c.firstRequestLocked(key) {
+	longest, seen := c.seen[key]
+	if admit && (!seen || budget > longest) {
+		c.declineLocked(key, budget)
 		c.mu.Unlock()
 		return nil
 	}
-	e := &streamEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = e
+	bd := &streamBuild{budget: max(budget, longest), done: make(chan struct{})}
+	e := c.entries[key]
+	if e == nil {
+		e = &streamEntry{key: key}
+		c.entries[key] = e
+	}
+	e.build = bd
 	c.mu.Unlock()
 
-	var st *Stream
-	if recs := materialize(b, budget); recs != nil {
-		st = &Stream{name: b.Name, recs: recs}
+	c.runBuild(b, e, bd)
+	if bd.stream == nil {
+		return nil
 	}
-
-	c.mu.Lock()
-	e.stream = st
-	if st != nil {
-		c.generated++
-	}
-	if st == nil || st.Bytes() > c.maxBytes {
-		// A declined stream reaches its waiters as nil, and dropping
-		// the entry keeps a later Get from waiting on it. Generation
-		// also overshoots the budget at episode granularity, so a
-		// stream can come out larger than the pre-generation estimate
-		// admitted. Hand it to the waiters but do not keep it
-		// resident: the bound is a promise.
-		delete(c.entries, key)
-	} else {
-		e.elem = c.order.PushFront(e)
-		c.bytes += st.Bytes()
-		c.evictLocked(e)
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return st
+	return bd.stream.prefix(budget)
 }
 
-// materialize generates b's stream at budget into packed records. It
-// returns nil, keeping nothing, when a PC or target needs more than 32
-// bits: such a stream cannot be stored in a record.
+// runBuild runs generation bd of e's stream and installs the result. A
+// stream that fits the bound replaces e's resident one; the build's
+// waiters get the stream either way, or nil when it is declined. If
+// generation panics the waiters get nil, the entry is released so a
+// later request starts over, and the panic continues to the caller.
+func (c *StreamCache) runBuild(b Benchmark, e *streamEntry, bd *streamBuild) {
+	defer func() {
+		c.mu.Lock()
+		e.build = nil
+		if st := bd.stream; st != nil {
+			c.generated++
+			// Generation also overshoots the budget to its next check,
+			// so a stream can come out larger than the pre-generation
+			// estimate admitted. Hand it to the waiters but do not keep
+			// it resident: the bound is a promise.
+			if st.Bytes() <= c.maxBytes {
+				c.dropLocked(e)
+				e.stream = st
+				e.elem = c.order.PushFront(e)
+				c.bytes += st.Bytes()
+				c.evictLocked(e)
+			}
+		}
+		if e.stream == nil {
+			// Nothing resident: a later request must not wait on the
+			// entry.
+			delete(c.entries, e.key)
+		}
+		c.mu.Unlock()
+		close(bd.done)
+	}()
+	if recs := materialize(b, bd.budget); recs != nil {
+		bd.stream = &Stream{name: b.Name, recs: recs}
+	}
+}
+
+// materialize generates b's stream at budget into packed records,
+// marking each record a budget check follows. It returns nil, keeping
+// nothing, when a PC or target needs more than 32 bits: such a stream
+// cannot be stored in a record.
 func materialize(b Benchmark, budget int) []record {
 	recs := make([]record, 0, budget+64) // never nil: nil marks a decline
-	b.Generate(budget, func(r trace.Record) {
+	b.generate(budget, func(r trace.Record) {
 		if recs == nil {
 			return
 		}
@@ -263,6 +357,10 @@ func materialize(b Benchmark, budget int) []record {
 			return
 		}
 		recs = append(recs, record{pc: uint32(r.PC), target: uint32(r.Target), kind: r.Kind, taken: r.Taken, gap: r.InstrGap})
+	}, func() {
+		if n := len(recs); n > 0 {
+			recs[n-1].check = true
+		}
 	})
 	if cap(recs) > len(recs)+64 {
 		// A large final episode forced the buffer to double; trim so
@@ -278,32 +376,40 @@ func materialize(b Benchmark, budget int) []record {
 // regeneration.
 func (c *StreamCache) evictLocked(keep *streamEntry) {
 	for c.bytes > c.maxBytes && c.order.Len() > 1 {
-		back := c.order.Back()
-		e := back.Value.(*streamEntry)
+		e := c.order.Back().Value.(*streamEntry)
 		if e == keep {
 			break
 		}
-		c.order.Remove(back)
-		e.elem = nil
-		c.bytes -= e.stream.Bytes()
-		delete(c.entries, e.key)
+		c.dropLocked(e)
+		if e.build == nil {
+			delete(c.entries, e.key)
+		}
 	}
 }
 
-// firstRequestLocked reports whether key is missing from the seen-set,
-// recording it there if so, and forgets the oldest key when the set is
-// full.
-func (c *StreamCache) firstRequestLocked(key streamKey) bool {
-	if _, ok := c.seen[key]; ok {
-		return false
+// dropLocked takes e's resident stream, if any, out of the LRU.
+// Readers holding the stream keep it.
+func (c *StreamCache) dropLocked(e *streamEntry) {
+	if e.elem == nil {
+		return
 	}
-	if len(c.seenOrder) < seenKeys {
-		c.seenOrder = append(c.seenOrder, key)
-	} else {
-		delete(c.seen, c.seenOrder[c.seenNext])
-		c.seenOrder[c.seenNext] = key
-		c.seenNext = (c.seenNext + 1) % seenKeys
+	c.order.Remove(e.elem)
+	c.bytes -= e.stream.Bytes()
+	e.stream, e.elem = nil, nil
+}
+
+// declineLocked records budget as key's longest declined request,
+// adding key to the seen-set if it is new there and forgetting the
+// oldest key when the set is full.
+func (c *StreamCache) declineLocked(key streamKey, budget int) {
+	if _, ok := c.seen[key]; !ok {
+		if len(c.seenOrder) < seenKeys {
+			c.seenOrder = append(c.seenOrder, key)
+		} else {
+			delete(c.seen, c.seenOrder[c.seenNext])
+			c.seenOrder[c.seenNext] = key
+			c.seenNext = (c.seenNext + 1) % seenKeys
+		}
 	}
-	c.seen[key] = struct{}{}
-	return true
+	c.seen[key] = budget
 }

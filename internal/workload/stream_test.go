@@ -1,9 +1,14 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/num"
@@ -89,24 +94,154 @@ func TestStreamConcurrentGetSingleGeneration(t *testing.T) {
 	}
 }
 
-func TestStreamDistinctBudgetsAreDistinctStreams(t *testing.T) {
-	b := mustBench(t, "MM-4")
-	c := NewStreamCache(0, "")
-	small := c.Get(b, 1000)
-	big := c.Get(b, 2000)
-	if small == big {
-		t.Fatal("different budgets shared a stream")
+// generated returns what Generate emits for b at budget.
+func generated(b Benchmark, budget int) []trace.Record {
+	var out []trace.Record
+	b.Generate(budget, func(r trace.Record) { out = append(out, r) })
+	return out
+}
+
+// checkServed fails unless st is exactly Generate(budget) of b, record
+// for record, the overshoot to the next budget check included.
+func checkServed(t *testing.T, b Benchmark, budget int, st *Stream) {
+	t.Helper()
+	if st == nil {
+		t.Fatalf("%s at budget %d: no stream served", b.Name, budget)
 	}
-	// The deterministic stream is prefix-stable: the small stream must
-	// be a prefix of the big one (DESIGN.md §2), which is what lets
-	// shards share one materialization.
-	for i := range small.Records()[:1000] {
-		if small.Records()[i] != big.Records()[i] {
-			t.Fatalf("record %d not prefix-stable", i)
+	want, got := generated(b, budget), st.Records()
+	if len(got) != len(want) {
+		t.Fatalf("%s at budget %d: served %d records, Generate emits %d", b.Name, budget, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s at budget %d: record %d is %+v, Generate emits %+v", b.Name, budget, i, got[i], want[i])
 		}
 	}
-	if g := c.Stats().Generated; g != 2 {
-		t.Errorf("Generated = %d, want 2", g)
+}
+
+// TestStreamPrefixMatchesGenerate pins the prefix rule the per-trace
+// key rests on: one resident stream serves every shorter budget with
+// exactly what Generate emits at that budget. Over all 80 benchmarks,
+// budget 1, a budget check position and its neighbours, and the
+// resident length all come from one longer stream, and nothing is
+// generated a second time.
+func TestStreamPrefixMatchesGenerate(t *testing.T) {
+	const long = 6000
+	benches := All()
+	c := NewStreamCache(0, "")
+	for _, b := range benches {
+		full := c.Get(b, long)
+		checkServed(t, b, long, full)
+		// The first record past the middle that a budget check follows.
+		check := long / 2
+		for !full.recs[check-1].check {
+			check++
+		}
+		for _, budget := range []int{1, check - 1, check, check + 1, full.Len()} {
+			checkServed(t, b, budget, c.Get(b, budget))
+		}
+	}
+	if st := c.Stats(); st.Generated != uint64(len(benches)) {
+		t.Errorf("Generated = %d for %d benchmarks, want one stream each", st.Generated, len(benches))
+	}
+}
+
+// TestStreamAdmissionOrder pins what the admission rule materializes
+// for single-reader traffic at distinct budgets: nothing for strictly
+// ascending budgets, one stream for descending ones, and for shuffled
+// ones at most one stream per request longer than all before it.
+func TestStreamAdmissionOrder(t *testing.T) {
+	b := mustBench(t, "MM-4")
+	budgets := func(order string) []int {
+		out := make([]int, 100)
+		for i := range out {
+			out[i] = 2000 + i
+		}
+		switch order {
+		case "descending":
+			slices.Reverse(out)
+		case "shuffled":
+			rng := num.NewRand(7)
+			for i := len(out) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				out[i], out[j] = out[j], out[i]
+			}
+		}
+		return out
+	}
+	for _, order := range []string{"ascending", "descending", "shuffled"} {
+		t.Run(order, func(t *testing.T) {
+			c := NewStreamCache(0, "")
+			longest, longer := 0, 0
+			for _, budget := range budgets(order) {
+				if budget > longest {
+					longest, longer = budget, longer+1
+				}
+				if st := c.GetAdmitted(b, budget); st != nil && st.Len() != len(generated(b, budget)) {
+					t.Fatalf("budget %d: served %d records, Generate emits %d", budget, st.Len(), len(generated(b, budget)))
+				}
+			}
+			g := c.Stats().Generated
+			var ok bool
+			switch order {
+			case "ascending":
+				ok = g == 0
+			case "descending":
+				ok = g == 1
+			case "shuffled":
+				ok = g >= 1 && g <= uint64(longer)
+			}
+			if !ok {
+				t.Errorf("materialized %d streams, %d requests longer than all before", g, longer)
+			}
+		})
+	}
+}
+
+// TestStreamConcurrentMixedBudgets races Get and GetAdmitted at mixed
+// budgets on two benchmarks, so requests find streams resident, in
+// flight, too short and replaced: every stream served is exactly
+// Generate at its own budget.
+func TestStreamConcurrentMixedBudgets(t *testing.T) {
+	benches := []Benchmark{mustBench(t, "MM-4"), mustBench(t, "CLIENT02")}
+	budgets := []int{1, 500, 1999, 2000, 2001, 3000, 4500, 6000}
+	want := map[string][]trace.Record{}
+	wantKey := func(b Benchmark, budget int) string { return fmt.Sprintf("%s/%d", b.Name, budget) }
+	for _, b := range benches {
+		for _, budget := range budgets {
+			want[wantKey(b, budget)] = generated(b, budget)
+		}
+	}
+	c := NewStreamCache(0, "")
+	const goroutines, requests = 8, 40
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := num.NewRand(uint64(g))
+			for i := 0; i < requests; i++ {
+				b, budget := benches[rng.Intn(len(benches))], budgets[rng.Intn(len(budgets))]
+				var st *Stream
+				if rng.Bool() {
+					st = c.GetAdmitted(b, budget)
+					if st == nil {
+						continue
+					}
+				} else if st = c.Get(b, budget); st == nil {
+					t.Errorf("Get(%s, %d) declined", b.Name, budget)
+					return
+				}
+				if !slices.Equal(st.Records(), want[wantKey(b, budget)]) {
+					t.Errorf("%s at budget %d: served stream differs from Generate", b.Name, budget)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.ResidentStreams > len(benches) {
+		t.Errorf("%d streams resident for %d benchmarks, want at most one each", st.ResidentStreams, len(benches))
 	}
 }
 
@@ -368,13 +503,14 @@ func TestStreamAdmittedConcurrently(t *testing.T) {
 
 // TestStreamSeenSetBounded: the keys GetAdmitted declined stay at the
 // seenKeys bound as more arrive, and the oldest is forgotten first.
+// Keys are per trace and seed, so the distinct keys are seed variants.
 func TestStreamSeenSetBounded(t *testing.T) {
 	b := mustBench(t, "MM-4")
+	const budget, extra = 100, 10
 	c := NewStreamCache(0, "")
-	const extra = 10
-	for budget := 1; budget <= seenKeys+extra; budget++ {
-		if c.GetAdmitted(b, budget) != nil {
-			t.Fatalf("first request for budget %d materialized", budget)
+	for v := int64(1); v <= seenKeys+extra; v++ {
+		if c.GetAdmitted(b.Reseeded(v), budget) != nil {
+			t.Fatalf("first request for seed variant %d materialized", v)
 		}
 	}
 	if len(c.seen) != seenKeys || len(c.seenOrder) != seenKeys {
@@ -382,13 +518,131 @@ func TestStreamSeenSetBounded(t *testing.T) {
 	}
 	// The first extra keys were forgotten: a repeat is a first request
 	// again. The newest is remembered: a repeat materializes it.
-	if c.GetAdmitted(b, 1) != nil {
+	if c.GetAdmitted(b.Reseeded(1), budget) != nil {
 		t.Error("the oldest key was not forgotten")
 	}
-	if c.GetAdmitted(b, seenKeys+extra) == nil {
+	if c.GetAdmitted(b.Reseeded(seenKeys+extra), budget) == nil {
 		t.Error("the newest key was forgotten")
 	}
 	if len(c.seen) != seenKeys {
 		t.Errorf("seen-set holds %d keys, want the bound %d", len(c.seen), seenKeys)
 	}
+}
+
+// TestStreamHugeBudgetDeclined: a budget whose stream size overflows
+// an int64 byte count is declined at once, and leaves nothing a later
+// request of the key would wait on.
+func TestStreamHugeBudgetDeclined(t *testing.T) {
+	b := mustBench(t, "MM-4")
+	for _, budget := range []int{math.MaxInt, math.MaxInt - 63, math.MaxInt/int(recordBytes) + 1} {
+		c := NewStreamCache(0, "")
+		if c.Get(b, budget) != nil || c.GetAdmitted(b, budget) != nil || c.GetAdmitted(b, budget) != nil {
+			t.Errorf("budget %d: a stream was served", budget)
+		}
+		checkServed(t, b, 2000, getWithin(t, c, b, 2000))
+	}
+}
+
+// getWithin is c.Get(b, budget), failing the test if it blocks for
+// more than a few seconds.
+func getWithin(t *testing.T, c *StreamCache, b Benchmark, budget int) *Stream {
+	t.Helper()
+	got := make(chan *Stream, 1)
+	go func() { got <- c.Get(b, budget) }()
+	select {
+	case st := <-got:
+		return st
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Get(%s, %d) still blocked after 5s", b.Name, budget)
+		return nil
+	}
+}
+
+// TestStreamGenerationPanicReleasesEntry: when materialization panics
+// (here the buffer for the largest budget the bound admits cannot be
+// allocated, or a kernel panics), the panic reaches the generating
+// caller, waiters on the key get nil, and a later request generates
+// afresh instead of waiting on the dead entry.
+func TestStreamGenerationPanicReleasesEntry(t *testing.T) {
+	t.Run("allocation", func(t *testing.T) {
+		b := mustBench(t, "MM-4")
+		c := NewStreamCache(math.MaxInt64, "")
+		budget := int(min(math.MaxInt64/recordBytes, math.MaxInt) - 64) // the largest the bound admits
+		if !panics(func() { c.Get(b, budget) }) {
+			t.Fatal("materializing an unallocatable buffer did not panic")
+		}
+		checkServed(t, b, 2000, getWithin(t, c, b, 2000))
+	})
+	t.Run("kernel", func(t *testing.T) {
+		started, release := make(chan struct{}), make(chan struct{})
+		var armed atomic.Bool
+		armed.Store(true)
+		gate := func() {
+			if armed.Swap(false) {
+				close(started)
+				<-release
+				panic("injected generation failure")
+			}
+		}
+		// With a narrow "wide" site this is an ordinary benchmark, whose
+		// first episode blocks and then panics.
+		b := wideBench(site{pc: 0x400100, target: 0x400140, kind: trace.CondDirect}, gate)
+		c := NewStreamCache(0, "")
+		const waiters = 6
+		results := make([]*Stream, waiters)
+		var panicked atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			panicked.Store(panics(func() { c.Get(b, 2000) }))
+		}()
+		<-started
+		for i := range results {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if i%2 == 0 {
+					results[i] = c.Get(b, 2000)
+				} else {
+					results[i] = c.GetAdmitted(b, 2000)
+				}
+			}(i)
+		}
+		for c.Stats().Hits < waiters {
+			runtime.Gosched()
+		}
+		close(release)
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("callers still blocked 5s after the generation panicked")
+		}
+		if !panicked.Load() {
+			t.Error("the generating Get did not panic")
+		}
+		for i, st := range results {
+			if st != nil {
+				t.Errorf("waiter %d got a stream from a panicked generation", i)
+			}
+		}
+		if st := c.Stats(); st.Generated != 0 || st.ResidentStreams != 0 {
+			t.Errorf("after the panic: Generated %d, %d streams resident; want 0 and 0", st.Generated, st.ResidentStreams)
+		}
+		if st := getWithin(t, c, b, 2000); st == nil || c.Stats().Generated != 1 {
+			t.Error("a later Get did not generate the stream afresh")
+		}
+	})
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

@@ -61,7 +61,13 @@ func Reseed(benches []Benchmark, v int64) []Benchmark {
 
 // Generate emits up to budget branch records into sink.
 func (b Benchmark) Generate(budget int, sink func(trace.Record)) {
-	e := &emitter{sink: sink, rng: num.NewRand(b.Seed ^ 0xE417), limit: budget}
+	b.generate(budget, sink, nil)
+}
+
+// generate is Generate, calling check (when non-nil) at every budget
+// check (emitter.more).
+func (b Benchmark) generate(budget int, sink func(trace.Record), check func()) {
+	e := &emitter{sink: sink, check: check, rng: num.NewRand(b.Seed ^ 0xE417), limit: budget}
 	kernels := make([]kernel, len(b.parts))
 	weights := make([]float64, len(b.parts))
 	var wsum float64
