@@ -98,10 +98,9 @@ func feedSpan(p predictor.Predictor, name string, warmStart, start, end int, gen
 
 // feedOne feeds one record to the predictor, accumulating counters
 // into res when the record is measured (warm-up records train but do
-// not count). It is feedSpan's per-record body; feedStream inlines the
-// same steps, and the callback-vs-materialized equality tests
-// (TestStreamMaterializedOncePerSuiteRun among them) keep the two
-// bit-identical.
+// not count). It is the single per-record body shared by the
+// streaming (feedSpan) and materialized (feedStream) paths, so the
+// two can never diverge.
 func feedOne(p predictor.Predictor, res *Result, r trace.Record, measured bool) {
 	if measured {
 		res.Records++
@@ -126,36 +125,17 @@ func feedOne(p predictor.Predictor, res *Result, r trace.Record, measured bool) 
 // the stream. Record i of the stream plays the role of stream position
 // i, so feedStream(p, st, warmStart, start, end) produces the exact
 // counters feedSpan(p, st.Name(), warmStart, start, end, gen) would
-// when gen emits the stream in order. The loop is a resident item's
-// whole cost, so it keeps its counters in locals and calls nothing per
-// record but the inlined Stream.At and the predictor's methods. The
-// callback path stays for true streaming sources (RunReader, streams
-// the cache declines to materialize).
+// when gen emits the stream in order. The callback path stays for true
+// streaming sources (RunReader, streams the cache declines to
+// materialize).
 func feedStream(p predictor.Predictor, st *workload.Stream, warmStart, start, end int) Result {
+	res := Result{Trace: st.Name(), Predictor: p.Name()}
 	warmStart = max(warmStart, 0)
 	end = min(end, st.Len())
-	var instructions, conditionals, mispredicted uint64
 	for i := warmStart; i < end; i++ {
-		r := st.At(i)
-		measured := i >= start
-		if measured {
-			instructions += r.Instructions()
-		}
-		if r.Conditional() {
-			pred := p.Predict(r.PC)
-			if measured {
-				conditionals++
-				if pred != r.Taken {
-					mispredicted++
-				}
-			}
-			p.Train(r.PC, r.Target, r.Taken)
-		} else {
-			p.TrackOther(r.PC, r.Target, r.Kind, r.Taken)
-		}
+		feedOne(p, &res, st.At(i), i >= start)
 	}
-	return Result{Trace: st.Name(), Predictor: p.Name(), Instructions: instructions,
-		Records: uint64(max(end-max(start, warmStart), 0)), Conditionals: conditionals, Mispredicted: mispredicted}
+	return res
 }
 
 // RunBenchmark simulates one predictor configuration (by registry

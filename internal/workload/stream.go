@@ -212,9 +212,8 @@ func (c *StreamCache) Stats() StreamStats {
 
 // Get returns the materialized stream of b at the given budget. A
 // resident stream of b at least that long serves it with no
-// generation; otherwise b's stream is generated, at the longest budget
-// GetAdmitted declined for it if that is longer, and replaces the
-// resident one (readers of the old stream keep it). It returns nil
+// generation; otherwise b's stream is generated at budget and replaces
+// the resident one (readers of the old stream keep it). It returns nil
 // when the stream alone would exceed the cache's memory bound, or when
 // it holds a PC or target wider than 32 bits — callers must then fall
 // back to streaming generation.
@@ -227,10 +226,12 @@ func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 // first or asks for more than any declined request of the key did; it
 // then records its budget as the key's longest declined one, and the
 // caller generates the records itself, which costs what materializing
-// them would without keeping a buffer nobody reads again. A request
-// within the longest declined budget is Get at that budget: it
-// materializes the longest prefix requested so far, and later
-// requests up to it hit. So same-budget traffic materializes on a
+// them would without keeping a buffer nobody reads again. Such a
+// request is declined at once even while a shorter generation of the
+// key is in flight, whose overshoot could cover only a few records
+// of it. A request within the longest declined budget is Get at that
+// budget: it materializes the longest prefix requested so far, and
+// later requests up to it hit. So same-budget traffic materializes on a
 // key's second request, strictly ascending budgets materialize
 // nothing, and shuffled ones at most once per new longest request.
 // The cache remembers declines for the last seenKeys keys; a key
@@ -278,19 +279,26 @@ func (c *StreamCache) get(b Benchmark, budget int, admit bool) *Stream {
 			}
 			return bd.stream.prefix(budget)
 		}
+		if admit && budget > c.seen[key] {
+			break // declined below
+		}
 		// The generation in flight asks for less than this request, but
 		// its overshoot may still cover it: wait for it and look again.
 		c.mu.Unlock()
 		<-bd.done
 		c.mu.Lock()
 	}
-	longest, seen := c.seen[key]
-	if admit && (!seen || budget > longest) {
+	// A key GetAdmitted never declined reads as longest 0.
+	longest := c.seen[key]
+	if admit && budget > longest {
 		c.declineLocked(key, budget)
 		c.mu.Unlock()
 		return nil
 	}
-	bd := &streamBuild{budget: max(budget, longest), done: make(chan struct{})}
+	bd := &streamBuild{budget: budget, done: make(chan struct{})}
+	if admit {
+		bd.budget = longest
+	}
 	e := c.entries[key]
 	if e == nil {
 		e = &streamEntry{key: key}

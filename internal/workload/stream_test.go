@@ -198,6 +198,69 @@ func TestStreamAdmissionOrder(t *testing.T) {
 	}
 }
 
+// TestStreamGetBuildsAtItsOwnBudget: Get generates at its own budget,
+// however long a request GetAdmitted declined for the trace was; only
+// GetAdmitted materializes at the longest declined budget.
+func TestStreamGetBuildsAtItsOwnBudget(t *testing.T) {
+	b := mustBench(t, "MM-4")
+	c := NewStreamCache(0, "")
+	if c.GetAdmitted(b, 20000) != nil {
+		t.Fatal("first admitted request materialized the stream")
+	}
+	checkServed(t, b, 2000, c.Get(b, 2000))
+	if st, want := c.Stats(), int64(len(generated(b, 2000))+64)*recordBytes; st.Generated != 1 || st.ResidentBytes > want {
+		t.Fatalf("Get at 2000 after a declined 20000: Generated %d, %d bytes resident; want 1 and at most %d",
+			st.Generated, st.ResidentBytes, want)
+	}
+	checkServed(t, b, 10000, c.GetAdmitted(b, 10000))
+	checkServed(t, b, 20000, c.Get(b, 20000))
+	if g := c.Stats().Generated; g != 2 {
+		t.Errorf("Generated = %d, want 2: GetAdmitted within the declined 20000 materializes at it, and Get at 20000 hits", g)
+	}
+}
+
+// TestStreamAdmittedPastDeclinedSkipsShorterBuild: while a shorter
+// generation of the key is in flight, a GetAdmitted request past the
+// key's longest declined budget is declined at once instead of waiting
+// through that generation, and its budget is recorded as usual.
+func TestStreamAdmittedPastDeclinedSkipsShorterBuild(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	gate := func() {
+		once.Do(func() {
+			close(started)
+			<-release
+		})
+	}
+	// With a narrow "wide" site this is an ordinary benchmark, whose
+	// first episode blocks until release.
+	b := wideBench(site{pc: 0x400100, target: 0x400140, kind: trace.CondDirect}, gate)
+	c := NewStreamCache(0, "")
+	built := make(chan *Stream, 1)
+	go func() { built <- c.Get(b, 2000) }()
+	<-started
+	declined := make(chan *Stream, 1)
+	go func() { declined <- c.GetAdmitted(b, 5000) }()
+	select {
+	case st := <-declined:
+		if st != nil {
+			t.Error("a request past the longest declined budget was served")
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("GetAdmitted still waiting on the shorter generation after 5s")
+	}
+	close(release)
+	checkServed(t, b, 2000, <-built)
+	// The decline recorded 5000, so a request within it materializes at
+	// 5000 and a Get at 5000 hits.
+	checkServed(t, b, 4000, c.GetAdmitted(b, 4000))
+	checkServed(t, b, 5000, c.Get(b, 5000))
+	if g := c.Stats().Generated; g != 2 {
+		t.Errorf("Generated = %d, want 2", g)
+	}
+}
+
 // TestStreamConcurrentMixedBudgets races Get and GetAdmitted at mixed
 // budgets on two benchmarks, so requests find streams resident, in
 // flight, too short and replaced: every stream served is exactly
