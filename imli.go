@@ -188,8 +188,11 @@ func applyOptions(opts []Option) engineOptions {
 
 // SimulateSuite runs a registry configuration over a whole suite
 // ("cbp4" or "cbp3") in parallel, honoring sharding and caching
-// options.
+// options. The budget must be positive.
 func SimulateSuite(config, suite string, budget int, opts ...Option) (SuiteRun, error) {
+	if budget <= 0 {
+		return SuiteRun{}, fmt.Errorf("imli: branch budget %d is not positive", budget)
+	}
 	benches, ok := workload.Suites()[suite]
 	if !ok {
 		return SuiteRun{}, fmt.Errorf("imli: unknown suite %q (want cbp4 or cbp3)", suite)
@@ -229,12 +232,21 @@ const (
 	SpecUnrepaired   = sim.SpecUnrepaired
 )
 
-// SimulateSpec runs a registry configuration over a benchmark under a
-// speculative-history mode. SpecCheckpointed is prediction-for-
+// SimulateSpec is Simulate over a composite registry configuration
+// that trains under a speculative-history mode (sim.NewSpecPredictor);
+// the result is named config/mode. SpecCheckpointed is prediction-for-
 // prediction identical to SpecImmediate (the paper's §2.3 repair
 // argument); SpecUnrepaired quantifies the cost of not checkpointing.
+// An unknown mode or a budget that is not positive is an error.
 func SimulateSpec(config string, mode SpecMode, b Benchmark, budget int) (Result, error) {
-	return sim.RunSpecBenchmark(config, mode, b, budget)
+	if budget <= 0 {
+		return Result{}, fmt.Errorf("imli: branch budget %d is not positive", budget)
+	}
+	p, err := sim.NewSpecPredictor(config, mode)
+	if err != nil {
+		return Result{}, err
+	}
+	return Simulate(p, b, budget), nil
 }
 
 // Service is the imlid evaluation service: a long-running job server
@@ -285,9 +297,12 @@ func Experiments() []Experiment { return experiments.All() }
 
 // RunExperiment reproduces one paper artifact by experiment ID (e.g.
 // "fig8", "table1", "storage") with the given per-trace branch budget
-// (0 = full size), honoring parallelism, sharding, caching, and
-// progress options.
+// (0 = full size; a negative budget is an error), honoring
+// parallelism, sharding, caching, and progress options.
 func RunExperiment(id string, budget int, opts ...Option) (ExperimentReport, error) {
+	if budget < 0 {
+		return ExperimentReport{}, fmt.Errorf("imli: branch budget %d is negative", budget)
+	}
 	e, err := experiments.ByID(id)
 	if err != nil {
 		return ExperimentReport{}, err

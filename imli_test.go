@@ -55,6 +55,56 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 }
 
+// TestFacadeSimulateSpec: checkpointed speculation equals immediate
+// update, and an unknown mode is an error, not a predictor that never
+// trains.
+func TestFacadeSimulateSpec(t *testing.T) {
+	b, err := imli.BenchmarkByName("SPEC2K6-12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	imm, err := imli.SimulateSpec("tage-gsc+imli", imli.SpecImmediate, b, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := imli.SimulateSpec("tage-gsc+imli", imli.SpecCheckpointed, b, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Predictor != "tage-gsc+imli/checkpointed" || ck.Mispredicted != imm.Mispredicted || imm.Mispredicted == 0 {
+		t.Errorf("checkpointed %+v, immediate %+v", ck, imm)
+	}
+	if res, err := imli.SimulateSpec("tage-gsc+imli", imli.SpecMode(9), b, 5000); err == nil {
+		t.Errorf("unknown mode accepted: %+v", res)
+	}
+	if _, err := imli.SimulateSpec("gshare", imli.SpecImmediate, b, 5000); err == nil {
+		t.Error("non-composite configuration accepted")
+	}
+}
+
+// TestFacadeRejectsBadBudgets: a simulation budget must be positive;
+// RunExperiment's 0 means full size, and a negative one is an error.
+func TestFacadeRejectsBadBudgets(t *testing.T) {
+	b, err := imli.BenchmarkByName("MM-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{0, -5} {
+		if run, err := imli.SimulateSuite("gshare", "cbp4", budget); err == nil {
+			t.Errorf("SimulateSuite at budget %d: no error, %d results", budget, len(run.Results))
+		}
+		if res, err := imli.SimulateSpec("tage-gsc+imli", imli.SpecImmediate, b, budget); err == nil {
+			t.Errorf("SimulateSpec at budget %d: no error, %+v", budget, res)
+		}
+	}
+	if _, err := imli.RunExperiment("storage", -5); err == nil {
+		t.Error("RunExperiment accepted a negative budget")
+	}
+	if _, err := imli.RunExperiment("storage", 0); err != nil {
+		t.Errorf("RunExperiment at the full-size budget: %v", err)
+	}
+}
+
 func TestFacadeIMLIComponents(t *testing.T) {
 	c := imli.NewIMLICounter()
 	sic := imli.NewSIC(c)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,8 +164,8 @@ func TestRunnerDefaultBudget(t *testing.T) {
 	}
 }
 
-// TestSpecExperimentsHonorCancel: spec and localspec simulate outside
-// the engine, so they check the runner's context themselves; a
+// TestSpecExperimentsHonorCancel: spec and localspec run their
+// speculative-history wrappers on the runner's engine, so a
 // pre-canceled runner simulates no benchmark.
 func TestSpecExperimentsHonorCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -178,6 +179,41 @@ func TestSpecExperimentsHonorCancel(t *testing.T) {
 		if v := e.Run(r).Values[key]; v != 0 {
 			t.Errorf("%s: %s = %v after cancellation, want 0", id, key, v)
 		}
+	}
+	if st := r.EngineStats(); st.Simulated != 0 {
+		t.Errorf("a canceled runner simulated %d shards", st.Simulated)
+	}
+}
+
+// TestSpecExperimentsRunOnEngine: spec and localspec simulate on the
+// runner's engine, so a second run over the same result store
+// simulates nothing and reports the same values. It is not skipped
+// under -short, so the race step runs the wrappers on the engine's
+// workers.
+func TestSpecExperimentsRunOnEngine(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (map[string]map[string]float64, sim.EngineStats) {
+		r := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir})})
+		vals := map[string]map[string]float64{}
+		for _, id := range []string{"spec", "localspec"} {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals[id] = e.Run(r).Values
+		}
+		return vals, r.EngineStats()
+	}
+	cold, st := run()
+	if st.Simulated == 0 {
+		t.Fatalf("spec and localspec simulated nothing on the engine: %+v", st)
+	}
+	warm, st := run()
+	if st.Simulated != 0 {
+		t.Errorf("a warm rerun simulated %d shards", st.Simulated)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("a warm rerun reports %v, the cold run %v", warm, cold)
 	}
 }
 

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -25,47 +27,41 @@ func init() {
 func runLocalSpec(r *Runner) Report {
 	const config = "tage-sc-l"
 	const delay = 32 // in-flight conditional branches (a modest window)
+	local := func(mode sim.LocalMode, suite string) sim.SuiteRun {
+		return r.SuiteWith(fmt.Sprintf("%s/%s/%d", config, mode, delay), suite, func() predictor.Predictor {
+			p, err := sim.NewLocalSpecPredictor(config, mode, delay)
+			if err != nil {
+				panic(err) // config is static and has local history
+			}
+			return p
+		})
+	}
 	var b strings.Builder
 	vals := map[string]float64{}
 
 	fmt.Fprintf(&b, "Local-history speculation for %s with %d branches in flight:\n\n", config, delay)
 	t := &stats.Table{Header: []string{"suite", "ideal", "forwarded (Figure 3)", "commit-only (stale)", "stale cost (MPKI)"}}
+	// The window cost follows from each benchmark's merged result: one
+	// search per conditional branch (sim.WindowComparisons).
 	var searches, comparisons uint64
-	windowBits := 0
 	for _, s := range suiteNames {
-		benches := r.Benchmarks(s)
-		avg := map[sim.LocalMode]float64{}
-		miss := map[sim.LocalMode]uint64{}
-		for _, mode := range []sim.LocalMode{sim.LocalIdeal, sim.LocalForwarded, sim.LocalCommitOnly} {
-			var total float64
-			for _, bench := range benches {
-				if r.params.Context.Err() != nil {
-					break // canceled: the report is discarded
-				}
-				res, err := sim.RunLocalSpec(config, mode, delay, bench, r.params.Budget)
-				if err != nil {
-					panic(err) // config is static and has local history
-				}
-				total += res.MPKI()
-				miss[mode] += res.Mispredicted
-				if mode == sim.LocalForwarded {
-					searches += res.Searches
-					comparisons += res.Comparisons
-					windowBits = res.WindowBits
-				}
-			}
-			avg[mode] = total / float64(len(benches))
+		idealRun, fwdRun := r.Suite(config, s), local(sim.LocalForwarded, s)
+		ideal, fwd, stale := idealRun.AvgMPKI(), fwdRun.AvgMPKI(), local(sim.LocalCommitOnly, s).AvgMPKI()
+		for _, res := range fwdRun.Results {
+			searches += res.Conditionals
+			comparisons += sim.WindowComparisons(res.Conditionals, delay)
 		}
-		if miss[sim.LocalForwarded] != miss[sim.LocalIdeal] {
+		if !maps.Equal(MPKIByTrace(fwdRun), MPKIByTrace(idealRun)) {
 			// The equivalence is asserted by tests; surface it here too.
 			b.WriteString("WARNING: forwarded mode diverged from ideal\n")
 		}
-		t.AddRow(s, stats.F(avg[sim.LocalIdeal]), stats.F(avg[sim.LocalForwarded]),
-			stats.F(avg[sim.LocalCommitOnly]), stats.F(avg[sim.LocalCommitOnly]-avg[sim.LocalIdeal]))
-		vals["ideal."+s] = avg[sim.LocalIdeal]
-		vals["forwarded."+s] = avg[sim.LocalForwarded]
-		vals["commitonly."+s] = avg[sim.LocalCommitOnly]
+		t.AddRow(s, stats.F(ideal), stats.F(fwd), stats.F(stale), stats.F(stale-ideal))
+		vals["ideal."+s] = ideal
+		vals["forwarded."+s] = fwd
+		vals["commitonly."+s] = stale
 	}
+	fwd, _ := sim.NewLocalSpecPredictor(config, sim.LocalForwarded, delay)
+	windowBits := fwd.(*sim.LocalSpecPredictor).Window().StorageBits()
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "\nforwarding cost: %d window searches (%.1f comparisons each), %d bits of history in flight\n",
 		searches, float64(comparisons)/float64(searches), windowBits)

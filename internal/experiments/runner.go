@@ -133,9 +133,6 @@ func (r *Runner) Params() Params { return r.params }
 // versus served from the on-disk store.
 func (r *Runner) EngineStats() sim.EngineStats { return r.params.Engine.Stats() }
 
-// Benchmarks returns the named suite's benchmark list.
-func (r *Runner) Benchmarks(suite string) []workload.Benchmark { return r.suites[suite] }
-
 // Suite returns the (cached) run of a registry configuration over a
 // suite ("cbp4" or "cbp3").
 func (r *Runner) Suite(config, suite string) sim.SuiteRun {

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"maps"
 	"strings"
 
+	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -25,37 +27,29 @@ func runSpec(r *Runner) Report {
 	var b strings.Builder
 	vals := map[string]float64{}
 	const config = "tage-gsc+imli"
+	spec := func(mode sim.SpecMode, suite string) sim.SuiteRun {
+		return r.SuiteWith(config+"/"+mode.String(), suite, func() predictor.Predictor {
+			p, err := sim.NewSpecPredictor(config, mode)
+			if err != nil {
+				panic(err) // config is static and composite
+			}
+			return p
+		})
+	}
 
 	b.WriteString("Speculative-history modes for " + config + " (per-branch fetch checkpoint:\n")
 	b.WriteString("global history pointer + 10-bit IMLI counter + 16-bit PIPE):\n\n")
 
 	t := &stats.Table{Header: []string{"suite", "immediate", "checkpointed", "unrepaired", "repair exact?", "no-repair cost (MPKI)"}}
 	for _, s := range suiteNames {
-		benches := r.Benchmarks(s)
-		avg := map[sim.SpecMode]float64{}
-		miss := map[sim.SpecMode]uint64{}
-		for _, mode := range []sim.SpecMode{sim.SpecImmediate, sim.SpecCheckpointed, sim.SpecUnrepaired} {
-			var total float64
-			for _, bench := range benches {
-				if r.params.Context.Err() != nil {
-					break // canceled: the report is discarded
-				}
-				res, err := sim.RunSpecBenchmark(config, mode, bench, r.params.Budget)
-				if err != nil {
-					panic(err) // config is static and composite
-				}
-				total += res.MPKI()
-				miss[mode] += res.Mispredicted
-			}
-			avg[mode] = total / float64(len(benches))
-		}
-		exact := miss[sim.SpecCheckpointed] == miss[sim.SpecImmediate]
-		imm := avg[sim.SpecImmediate]
-		bad := avg[sim.SpecUnrepaired]
-		t.AddRow(s, stats.F(imm), stats.F(avg[sim.SpecCheckpointed]), stats.F(bad),
-			boolStr(exact), stats.F(bad-imm))
+		immRun, ckRun := r.Suite(config, s), spec(sim.SpecCheckpointed, s)
+		imm, ck, bad := immRun.AvgMPKI(), ckRun.AvgMPKI(), spec(sim.SpecUnrepaired, s).AvgMPKI()
+		// Both runs see the same instructions, so equal MPKI on every
+		// trace means equal mispredictions.
+		exact := maps.Equal(MPKIByTrace(ckRun), MPKIByTrace(immRun))
+		t.AddRow(s, stats.F(imm), stats.F(ck), stats.F(bad), boolStr(exact), stats.F(bad-imm))
 		vals["immediate."+s] = imm
-		vals["checkpointed."+s] = avg[sim.SpecCheckpointed]
+		vals["checkpointed."+s] = ck
 		vals["unrepaired."+s] = bad
 		if exact {
 			vals["exact."+s] = 1

@@ -256,8 +256,8 @@ func (c *Composite) PredictStage3() bool { return c.lastFinal }
 
 // Train implements Predictor: the immediate-update path used by the
 // trace-driven simulator — table training followed by the history push
-// with the resolved outcome. The speculative pipeline model in
-// internal/sim drives TrainTables and SpecPush separately instead.
+// with the resolved outcome. The speculative modes of
+// sim.NewSpecPredictor call TrainTables and SpecPush separately.
 func (c *Composite) Train(pc, target uint64, taken bool) {
 	c.TrainTables(pc, target, taken)
 	c.SpecPush(pc, target, taken)

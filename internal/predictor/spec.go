@@ -93,7 +93,7 @@ func (c *Composite) LocalGroup() *local.Group { return c.loc }
 // DetachLocalHistory stops TrainTables from committing local history
 // and hands the group to the caller, which then owns both the commit
 // timing and the speculative read path — the §2.3.2 pipeline model in
-// internal/sim uses this.
+// internal/sim (sim.NewLocalSpecPredictor) uses this.
 func (c *Composite) DetachLocalHistory() *local.Group {
 	c.locDetached = true
 	return c.loc

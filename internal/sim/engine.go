@@ -164,9 +164,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 }
 
-// Shards returns the per-benchmark shard count.
-func (e *Engine) Shards() int { return e.shards }
-
 // Streams returns the engine's materialized-stream cache. It is never
 // nil; with a negative EngineConfig.StreamMemory it declines every
 // stream.

@@ -6,7 +6,6 @@ import (
 	"repro/internal/hist"
 	"repro/internal/predictor"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // LocalMode selects how the pipeline model manages speculative local
@@ -43,110 +42,105 @@ func (m LocalMode) String() string {
 	}
 }
 
-// LocalSpecResult is the outcome of a local-history pipeline run.
-type LocalSpecResult struct {
-	Result
-	// Searches and Comparisons are the associative window costs (one
-	// search per fetched conditional branch in forwarded mode).
-	Searches    uint64
-	Comparisons uint64
-	// WindowBits is the speculative history storage riding in flight.
-	WindowBits int
+// LocalSpecPredictor is a composite whose local history commits delay
+// conditional branches after they resolve. It holds the commit queue
+// and, in forwarded mode, the in-flight window. It is not a
+// snap.Snapshotter, because a composite snapshot covers neither, so the
+// engine builds one per work item and never pools or resumes it.
+type LocalSpecPredictor struct {
+	c         *predictor.Composite
+	committed *hist.Local
+	// window is nil in commit-only mode.
+	window *hist.InflightWindow
+	delay  int
+	name   string
+	// queue holds the resolved branches not yet committed, oldest first.
+	queue []trace.Record
+	// spec is the local history of the branch being predicted: the
+	// fetch engine searches the window once per fetched branch and
+	// feeds every local table from that one search.
+	spec uint64
 }
 
-type pendingLocal struct {
-	pc    uint64
-	taken bool
-}
-
-// RunLocalSpec runs a local-history configuration under the given
-// pipeline mode with a commit delay of delay branches.
-func RunLocalSpec(config string, mode LocalMode, delay int, b workload.Benchmark, budget int) (LocalSpecResult, error) {
-	p, err := predictor.New(config)
+// NewLocalSpecPredictor builds the registry configuration config,
+// which must be a composite with local history, with delay conditional
+// branches in flight under mode. LocalIdeal returns the plain
+// composite; the other modes return a *LocalSpecPredictor named
+// config/mode/delay, for example "tage-sc-l/forwarded/32".
+func NewLocalSpecPredictor(config string, mode LocalMode, delay int) (predictor.Predictor, error) {
+	if mode > LocalForwarded || delay < 0 {
+		return nil, fmt.Errorf("sim: unknown local-history mode %d or negative delay %d", mode, delay)
+	}
+	c, err := composite(config)
 	if err != nil {
-		return LocalSpecResult{}, err
+		return nil, err
 	}
-	c, ok := p.(*predictor.Composite)
-	if !ok || c.LocalGroup() == nil {
-		return LocalSpecResult{}, fmt.Errorf("sim: configuration %q has no local history component", config)
+	if c.LocalGroup() == nil {
+		return nil, fmt.Errorf("sim: configuration %q has no local history component", config)
 	}
-	res := LocalSpecResult{Result: Result{Trace: b.Name, Predictor: config + "/" + mode.String()}}
 	if mode == LocalIdeal {
-		res.Result = Feed(p, b.Name, func(emit func(trace.Record)) { b.Generate(budget, emit) })
-		res.Result.Predictor = config + "/" + mode.String()
-		return res, nil
+		return c, nil
 	}
-
 	loc := c.DetachLocalHistory()
-	committed := loc.History()
-	window := hist.NewInflightWindow(delay+1, committed.Bits())
-	histMask := uint64(1)<<uint(committed.Bits()) - 1
-
-	// In forwarded mode the fetch engine performs ONE window search
-	// per fetched branch and feeds every local table from it; memoise
-	// per branch so the cost counters reflect hardware.
-	var memoPC, memoVal uint64
-	var memoGen, gen uint64
-	memoPC = ^uint64(0)
-	speculative := func(pc uint64) uint64 {
-		if pc == memoPC && memoGen == gen {
-			return memoVal
-		}
-		memoPC, memoGen = pc, gen
-		memoVal = window.Lookup(committed.Index(pc), committed.Get(pc))
-		return memoVal
-	}
+	p := &LocalSpecPredictor{c: c, committed: loc.History(), delay: delay,
+		name: fmt.Sprintf("%s/%s/%d", config, mode, delay)}
 	if mode == LocalForwarded {
-		loc.SetSource(speculative)
+		p.window = hist.NewInflightWindow(delay+1, p.committed.Bits())
+		loc.SetSource(func(uint64) uint64 { return p.spec })
 	}
-
-	var queue []pendingLocal
-	b.Generate(budget, func(r trace.Record) {
-		res.Records++
-		res.Instructions += r.Instructions()
-		if !r.Conditional() {
-			c.TrackOther(r.PC, r.Target, r.Kind, r.Taken)
-			return
-		}
-		res.Conditionals++
-		pred := c.Predict(r.PC)
-		if pred != r.Taken {
-			res.Mispredicted++
-		}
-		c.Train(r.PC, r.Target, r.Taken)
-
-		// The resolved outcome becomes visible to later occurrences
-		// through the window (forwarded) and reaches the committed
-		// table delay branches later.
-		if mode == LocalForwarded {
-			h := speculative(r.PC)
-			window.Insert(hist.InflightEntry{
-				Index: committed.Index(r.PC),
-				Hist:  (h<<1 | takenBit(r.Taken)) & histMask,
-			})
-		}
-		queue = append(queue, pendingLocal{pc: r.PC, taken: r.Taken})
-		if len(queue) > delay {
-			oldest := queue[0]
-			queue = queue[1:]
-			loc.UpdateHistory(oldest.pc, oldest.taken)
-			if mode == LocalForwarded {
-				window.Retire(1)
-			}
-		}
-		gen++
-	})
-	res.Searches = window.Searches
-	res.Comparisons = window.Comparisons
-	if mode == LocalForwarded {
-		res.WindowBits = window.StorageBits()
-	}
-	return res, nil
+	return p, nil
 }
 
-func takenBit(taken bool) uint64 {
-	if taken {
-		return 1
+// Window returns the forwarded mode's in-flight window; nil otherwise.
+func (p *LocalSpecPredictor) Window() *hist.InflightWindow { return p.window }
+
+func (p *LocalSpecPredictor) Name() string     { return p.name }
+func (p *LocalSpecPredictor) StorageBits() int { return p.c.StorageBits() }
+
+// Predict forwards the most recent in-flight occurrence's local
+// history, or the committed one, to the local tables.
+func (p *LocalSpecPredictor) Predict(pc uint64) bool {
+	if p.window != nil {
+		p.spec = p.window.Lookup(p.committed.Index(pc), p.committed.Get(pc))
 	}
-	return 0
+	return p.c.Predict(pc)
+}
+
+func (p *LocalSpecPredictor) TrackOther(pc, target uint64, kind trace.Kind, taken bool) {
+	p.c.TrackOther(pc, target, kind, taken)
+}
+
+// Train resolves the branch Predict saw. The resolved outcome becomes
+// visible to later occurrences through the window (forwarded) and
+// reaches the committed table delay branches later.
+func (p *LocalSpecPredictor) Train(pc, target uint64, taken bool) {
+	p.c.Train(pc, target, taken)
+	if p.window != nil {
+		h := p.spec << 1
+		if taken {
+			h |= 1
+		}
+		p.window.Insert(hist.InflightEntry{Index: p.committed.Index(pc), Hist: h & (1<<p.committed.Bits() - 1)})
+	}
+	p.queue = append(p.queue, trace.Record{PC: pc, Taken: taken})
+	if len(p.queue) > p.delay {
+		oldest := p.queue[0]
+		p.queue = p.queue[1:]
+		p.committed.Push(oldest.PC, oldest.Taken)
+		if p.window != nil {
+			p.window.Retire(1)
+		}
+	}
+}
+
+// WindowComparisons is the number of entries the forwarded mode's
+// window searches compare over n conditional branches with delay in
+// flight: one search per branch, the k-th (from 0) scanning the
+// min(k, delay) branches fetched before it and not yet committed.
+func WindowComparisons(n uint64, delay int) uint64 {
+	d := uint64(delay)
+	if n > d {
+		return d*n - d*(d+1)/2
+	}
+	return n * (n - 1) / 2
 }

@@ -88,7 +88,8 @@ func TestMPKIBitIdentityAllConfigs(t *testing.T) {
 // per-branch checkpoints on mispredictions — is prediction-for-
 // prediction identical to SpecImmediate, for every golden composite
 // configuration, by checking its counts against the same golden file
-// the immediate-update sweep is pinned to.
+// the immediate-update sweep is pinned to. The checkpointed wrappers
+// run on an engine, as the spec experiment runs them.
 func TestSpecCheckpointedMatchesGolden(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are written by TestMPKIBitIdentityAllConfigs")
@@ -98,15 +99,13 @@ func TestSpecCheckpointedMatchesGolden(t *testing.T) {
 	sort.Strings(configs)
 
 	var got []goldenCount
+	e := NewEngine(EngineConfig{})
 	for _, cfg := range configs {
 		if _, ok := predictor.MustNew(cfg).(*predictor.Composite); !ok {
 			continue // bimodal/gshare adapters have no speculative hooks
 		}
-		for _, b := range benches {
-			res, err := RunSpecBenchmark(cfg, SpecCheckpointed, b, goldenBudget)
-			if err != nil {
-				t.Fatal(err)
-			}
+		run := e.RunSuite(specBuilder(cfg, SpecCheckpointed), cfg+"/checkpointed", "golden", benches, goldenBudget)
+		for _, res := range run.Results {
 			got = append(got, goldenCount{
 				Config:       cfg,
 				Trace:        res.Trace,

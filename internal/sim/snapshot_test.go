@@ -101,10 +101,11 @@ func TestSnapshotRestoreEveryRegistryConfig(t *testing.T) {
 }
 
 // TestSnapshotPristineResetEqualsFresh is the predictor pool's premise
-// (DESIGN.md §5, §8) over the full registry: a predictor that ran one
-// benchmark, handed back to its pool and reset to the pristine snapshot,
-// runs the next benchmark exactly as a newly built one does — the same
-// counters and byte-identical final state.
+// (DESIGN.md §5, §8) over the full registry and the speculative-history
+// wrappers: a predictor that ran one benchmark, handed back to its pool
+// and reset to the pristine snapshot, runs the next benchmark exactly
+// as a newly built one does — the same counters and byte-identical
+// final state.
 func TestSnapshotPristineResetEqualsFresh(t *testing.T) {
 	const n = 20000
 	streams := workload.NewStreamCache(0, "")
@@ -112,8 +113,16 @@ func TestSnapshotPristineResetEqualsFresh(t *testing.T) {
 	if first == nil || second == nil {
 		t.Fatal("streams not materialized")
 	}
+	builders := map[string]func() predictor.Predictor{}
 	for _, cfg := range predictor.Names() {
-		builder := builderFor(cfg)
+		builders[cfg] = builderFor(cfg)
+	}
+	for _, cfg := range []string{"tage-gsc+imli", "gehl+imli"} {
+		for _, mode := range []SpecMode{SpecCheckpointed, SpecUnrepaired} {
+			builders[cfg+"/"+mode.String()] = specBuilder(cfg, mode)
+		}
+	}
+	for cfg, builder := range builders {
 		pool := &predictorPool{name: cfg, limit: 1}
 		used := pool.fresh(builder)
 		feedStream(used, first, 0, 0, noLimit)

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/predictor"
-	"repro/internal/trace"
-	"repro/internal/workload"
+	"repro/internal/snap"
 )
 
 // SpecMode selects how the speculative pipeline model manages branch
@@ -43,64 +44,70 @@ func (m SpecMode) String() string {
 	}
 }
 
-// FeedSpeculative runs a composite predictor over a record stream
-// under the given speculative-history mode and returns accuracy
-// statistics. The predictor must be a *predictor.Composite (the
-// speculative hooks are composite-specific).
-func FeedSpeculative(c *predictor.Composite, mode SpecMode, name string, gen func(func(trace.Record))) Result {
-	res := Result{Trace: name, Predictor: c.Name() + "/" + mode.String()}
-	gen(func(r trace.Record) {
-		res.Records++
-		res.Instructions += r.Instructions()
-		if !r.Conditional() {
-			c.TrackOther(r.PC, r.Target, r.Kind, r.Taken)
-			return
-		}
-		res.Conditionals++
-		pred := c.Predict(r.PC)
-		if pred != r.Taken {
-			res.Mispredicted++
-		}
-		switch mode {
-		case SpecImmediate:
-			c.Train(r.PC, r.Target, r.Taken)
-		case SpecCheckpointed:
-			c.TrainTables(r.PC, r.Target, r.Taken)
-			// Fetch side: checkpoint the speculative history state,
-			// then push the predicted direction.
-			ck := c.SpecCheckpoint()
-			c.SpecPush(r.PC, r.Target, pred)
-			if pred != r.Taken {
-				// Resolve: restore and redo with the actual outcome.
-				c.SpecRestore(ck)
-				c.SpecPush(r.PC, r.Target, r.Taken)
-			}
-		case SpecUnrepaired:
-			c.TrainTables(r.PC, r.Target, r.Taken)
-			c.SpecPush(r.PC, r.Target, pred) // wrong-path bit stays
-		}
-	})
-	return res
+// specPredictor is a composite whose Train runs a speculative-history
+// mode's update protocol. It declares Snapshot and RestoreSnapshot,
+// its composite's, so that snapcomplete checks its own fields; the
+// engine pools, resumes and chains it under its name.
+type specPredictor struct {
+	*predictor.Composite
+	mode SpecMode
+	name string
+	// pred is Predict's direction, the one Train pushes at fetch.
+	pred bool //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
 }
 
-// RunSpecBenchmark runs one configuration over one benchmark under a
-// speculation mode.
-func RunSpecBenchmark(config string, mode SpecMode, b workload.Benchmark, budget int) (Result, error) {
-	p, err := predictor.New(config)
+// NewSpecPredictor builds the registry configuration config, which
+// must be a composite, training under mode. Its name is config/mode,
+// for example "tage-gsc+imli/unrepaired".
+func NewSpecPredictor(config string, mode SpecMode) (predictor.Predictor, error) {
+	if mode > SpecUnrepaired {
+		return nil, fmt.Errorf("sim: unknown speculative-history mode %d", mode)
+	}
+	c, err := composite(config)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	comp, ok := p.(*predictor.Composite)
-	if !ok {
-		return Result{}, errNotComposite(config)
-	}
-	return FeedSpeculative(comp, mode, b.Name, func(emit func(trace.Record)) {
-		b.Generate(budget, emit)
-	}), nil
+	return &specPredictor{Composite: c, mode: mode, name: config + "/" + mode.String()}, nil
 }
 
-type errNotComposite string
-
-func (e errNotComposite) Error() string {
-	return "sim: configuration " + string(e) + " does not support speculative simulation"
+// composite builds config, whose speculative hooks need a composite.
+func composite(config string) (*predictor.Composite, error) {
+	p, err := predictor.New(config)
+	if c, ok := p.(*predictor.Composite); ok || err != nil {
+		return c, err
+	}
+	return nil, fmt.Errorf("sim: configuration %q does not support speculative simulation", config)
 }
+
+func (p *specPredictor) Name() string { return p.name }
+
+func (p *specPredictor) Predict(pc uint64) bool {
+	p.pred = p.Composite.Predict(pc)
+	return p.pred
+}
+
+// Train resolves the branch Predict saw under the wrapper's mode.
+func (p *specPredictor) Train(pc, target uint64, taken bool) {
+	switch p.mode {
+	case SpecImmediate:
+		p.Composite.Train(pc, target, taken)
+	case SpecCheckpointed:
+		p.TrainTables(pc, target, taken)
+		// Fetch side: checkpoint the speculative history state, then
+		// push the predicted direction.
+		ck := p.SpecCheckpoint()
+		p.SpecPush(pc, target, p.pred)
+		if p.pred != taken {
+			// Resolve: restore and redo with the actual outcome.
+			p.SpecRestore(ck)
+			p.SpecPush(pc, target, taken)
+		}
+	case SpecUnrepaired:
+		p.TrainTables(pc, target, taken)
+		p.SpecPush(pc, target, p.pred) // wrong-path bit stays
+	}
+}
+
+func (p *specPredictor) Snapshot(e *snap.Encoder) { p.Composite.Snapshot(e) }
+
+func (p *specPredictor) RestoreSnapshot(d *snap.Decoder) error { return p.Composite.RestoreSnapshot(d) }

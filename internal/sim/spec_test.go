@@ -10,6 +10,22 @@ import (
 	"repro/internal/workload"
 )
 
+// feedBench runs p over the first budget records of b's stream.
+func feedBench(p predictor.Predictor, b workload.Benchmark, budget int) Result {
+	return Feed(p, b.Name, func(emit func(trace.Record)) { b.Generate(budget, emit) })
+}
+
+// specBuilder builds config under a speculative-history mode.
+func specBuilder(config string, mode SpecMode) func() predictor.Predictor {
+	return func() predictor.Predictor {
+		p, err := NewSpecPredictor(config, mode)
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+}
+
 func TestSpecModeString(t *testing.T) {
 	if SpecImmediate.String() != "immediate" ||
 		SpecCheckpointed.String() != "checkpointed" ||
@@ -40,17 +56,14 @@ func TestCheckpointRepairIsExact(t *testing.T) {
 		}
 		t.Run(config, func(t *testing.T) {
 			for _, name := range []string{"SPEC2K6-12", "SPEC2K6-04", "MM-4"} {
-				b, err := workload.ByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
+				b := mustBench(t, name)
 				var res [2]Result
 				var state [2][]byte
 				for i, mode := range []SpecMode{SpecImmediate, SpecCheckpointed} {
-					c := predictor.MustNew(config).(*predictor.Composite)
-					res[i] = FeedSpeculative(c, mode, name, func(emit func(trace.Record)) { b.Generate(budget, emit) })
+					p := specBuilder(config, mode)()
+					res[i] = feedBench(p, b, budget)
 					e := snap.NewEncoder()
-					c.Snapshot(e)
+					p.(snap.Snapshotter).Snapshot(e)
 					state[i] = e.Bytes()
 				}
 				if res[0].Mispredicted != res[1].Mispredicted {
@@ -73,20 +86,9 @@ func TestUnrepairedSpeculationHurts(t *testing.T) {
 	// noticeably (the paper's motivation for checkpointing).
 	var immTotal, badTotal uint64
 	for _, name := range []string{"SPEC2K6-12", "SPEC2K6-00", "CLIENT02"} {
-		b, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imm, err := RunSpecBenchmark("tage-gsc+imli", SpecImmediate, b, 40000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad, err := RunSpecBenchmark("tage-gsc+imli", SpecUnrepaired, b, 40000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		immTotal += imm.Mispredicted
-		badTotal += bad.Mispredicted
+		b := mustBench(t, name)
+		immTotal += feedBench(specBuilder("tage-gsc+imli", SpecImmediate)(), b, 40000).Mispredicted
+		badTotal += feedBench(specBuilder("tage-gsc+imli", SpecUnrepaired)(), b, 40000).Mispredicted
 	}
 	if badTotal <= immTotal {
 		t.Errorf("unrepaired speculation did not hurt: %d vs %d mispredictions", badTotal, immTotal)
@@ -94,15 +96,16 @@ func TestUnrepairedSpeculationHurts(t *testing.T) {
 }
 
 func TestSpecRejectsNonComposite(t *testing.T) {
-	b, _ := workload.ByName("MM-1")
-	if _, err := RunSpecBenchmark("bimodal", SpecCheckpointed, b, 100); err == nil {
+	if _, err := NewSpecPredictor("bimodal", SpecCheckpointed); err == nil {
 		t.Error("non-composite accepted for speculative simulation")
 	}
 }
 
 func TestSpecUnknownConfig(t *testing.T) {
-	b, _ := workload.ByName("MM-1")
-	if _, err := RunSpecBenchmark("nope", SpecImmediate, b, 100); err == nil {
+	if _, err := NewSpecPredictor("nope", SpecImmediate); err == nil {
 		t.Error("unknown config accepted")
+	}
+	if _, err := NewSpecPredictor("tage-gsc+imli", SpecMode(9)); err == nil {
+		t.Error("unknown mode accepted")
 	}
 }
