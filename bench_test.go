@@ -239,7 +239,7 @@ func benchBudgetSweep(b *testing.B, snapshots bool) {
 		cfg := sim.EngineConfig{}
 		if snapshots {
 			cfg.ExactShards = true
-			cfg.CacheDir = b.TempDir()
+			cfg.Store = sim.OpenStore(b.TempDir())
 		}
 		e := sim.NewEngine(cfg)
 		var last sim.SuiteRun

@@ -271,7 +271,7 @@ func runOnce(stdout io.Writer, srv *serve.Server, engCfg sim.EngineConfig) error
 	// exactly like `imlisim -predictor=gshare -suite=cbp4 ...` drives
 	// it — results must match line for line and counter for counter.
 	refCfg := engCfg
-	refCfg.Store, refCfg.CacheDir = nil, ""
+	refCfg.Store = nil
 	ref := sim.NewEngine(refCfg).RunSuite(
 		func() predictor.Predictor { return predictor.MustNew(config) },
 		config, suite, workload.Suites()[suite], budget)

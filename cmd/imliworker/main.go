@@ -11,10 +11,10 @@
 //
 // The worker owns only its local resources: -slots bounds how many
 // items it leases at once, engine flags (-parallel, -cache-dir,
-// -stream-mem) shape its local engine, and item geometry — shards,
-// budget, warm-up — arrives with each lease. Killing a worker at any
-// instant is safe; its leases expire on the coordinator and the items
-// are re-dispatched.
+// -stream-mem, -exact-shards) shape its local engine, and item
+// geometry — shards, budget, warm-up — arrives with each lease, so
+// -shards is an error. Killing a worker at any instant is safe; its
+// leases expire on the coordinator and the items are re-dispatched.
 //
 // Usage:
 //
@@ -59,6 +59,11 @@ func run(argv []string, stdout, stderr io.Writer) error {
 			return nil
 		}
 		return err
+	}
+	var shardsSet bool
+	fs.Visit(func(f *flag.Flag) { shardsSet = shardsSet || f.Name == "shards" })
+	if shardsSet {
+		return fmt.Errorf("-shards does not apply to a worker: each leased item carries its own shard geometry")
 	}
 	engCfg, err := eng.Config()
 	if err != nil {

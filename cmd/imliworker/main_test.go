@@ -4,6 +4,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFlagValidation(t *testing.T) {
@@ -16,10 +17,21 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-coordinator", "http://"}, "host"},
 		{[]string{"-coordinator", "http://h:1", "-slots=-2"}, "-slots"},
 		{[]string{"-shards=0"}, "-shards"},
+		// Leased items carry their own geometry, so an explicit
+		// -shards would be ignored; it must fail before any lease loop.
+		{[]string{"-coordinator", "http://127.0.0.1:1", "-shards=4", "-slots=1"}, "-shards"},
 		{[]string{"-parallel=-3"}, "-parallel"},
 	}
 	for _, tc := range cases {
-		err := run(tc.args, io.Discard, io.Discard)
+		done := make(chan error, 1)
+		go func() { done <- run(tc.args, io.Discard, io.Discard) }()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Errorf("run(%v) did not return: flags accepted and leasing started", tc.args)
+			continue
+		}
 		if err == nil {
 			t.Errorf("run(%v) accepted invalid flags", tc.args)
 			continue

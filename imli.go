@@ -14,12 +14,12 @@
 //   - the experiment harness that regenerates every table and figure of
 //     the paper (Experiments, RunExperiment);
 //   - engine controls for both (WithParallel, WithShards, WithCacheDir,
-//     WithStreamCache, WithExactSharding, WithSeeds, WithProgress):
-//     suite runs fan (benchmark × shard) work items over a bounded
-//     worker pool, read each benchmark's stream from a shared
-//     once-per-run materialization, and can be cached on disk so
-//     repeated runs are incremental — including resuming longer-budget
-//     runs from snapshots of shorter ones;
+//     WithStreamCache, WithExactSharding; WithSeeds and WithProgress
+//     for experiments only): suite runs fan (benchmark × shard) work
+//     items over a bounded worker pool, read each benchmark's stream
+//     from a shared once-per-run materialization, and can be cached on
+//     disk so repeated runs are incremental — including resuming
+//     longer-budget runs from snapshots of shorter ones;
 //   - the imlid evaluation service (NewService; daemon: cmd/imlid),
 //     which serves all of the above as deduplicated HTTP jobs with SSE
 //     progress, spoken to by the repro/client package.
@@ -116,9 +116,11 @@ func Simulate(p Predictor, b Benchmark, budget int) Result {
 	return sim.Feed(p, b.Name, func(emit func(Record)) { b.Generate(budget, emit) })
 }
 
-// Option tunes the simulation engine behind SimulateSuite and
-// RunExperiment: worker-pool width, per-benchmark sharding, and the
-// on-disk result cache.
+// Option tunes the simulation engine behind SimulateSuite, NewService
+// and RunExperiment: worker-pool width, per-benchmark sharding, and the
+// on-disk result cache. WithSeeds and WithProgress tune an experiment
+// run and are honoured by RunExperiment only; SimulateSuite and
+// NewService reject them.
 type Option func(*engineOptions)
 
 type engineOptions struct {
@@ -138,8 +140,16 @@ func WithParallel(n int) Option { return func(o *engineOptions) { o.cfg.Workers 
 func WithShards(n int) Option { return func(o *engineOptions) { o.cfg.Shards = n } }
 
 // WithCacheDir backs the run with a content-addressed on-disk result
-// store rooted at dir, so repeated identical runs are incremental.
-func WithCacheDir(dir string) Option { return func(o *engineOptions) { o.cfg.CacheDir = dir } }
+// store rooted at dir, so repeated identical runs are incremental. An
+// empty dir means no store.
+func WithCacheDir(dir string) Option {
+	return func(o *engineOptions) {
+		o.cfg.Store = nil
+		if dir != "" {
+			o.cfg.Store = sim.OpenStore(dir)
+		}
+	}
+}
 
 // WithStreamCache bounds the resident memory of materialized benchmark
 // streams (each benchmark's record stream is generated once per run
@@ -186,6 +196,20 @@ func applyOptions(opts []Option) engineOptions {
 	return o
 }
 
+// engineConfig applies opts for a caller that takes engine options
+// only: an experiment option there would do nothing, so it is an error
+// naming the option.
+func engineConfig(caller string, opts []Option) (sim.EngineConfig, error) {
+	o := applyOptions(opts)
+	switch {
+	case o.seeds != nil:
+		return sim.EngineConfig{}, fmt.Errorf("imli: %s does not take WithSeeds (RunExperiment does)", caller)
+	case o.progress != nil:
+		return sim.EngineConfig{}, fmt.Errorf("imli: %s does not take WithProgress (RunExperiment does)", caller)
+	}
+	return o.cfg, nil
+}
+
 // SimulateSuite runs a registry configuration over a whole suite
 // ("cbp4" or "cbp3") in parallel, honoring sharding and caching
 // options. The budget must be positive.
@@ -200,7 +224,11 @@ func SimulateSuite(config, suite string, budget int, opts ...Option) (SuiteRun, 
 	if err := predictor.Check(config); err != nil {
 		return SuiteRun{}, err
 	}
-	engine := sim.NewEngine(applyOptions(opts).cfg)
+	cfg, err := engineConfig("SimulateSuite", opts)
+	if err != nil {
+		return SuiteRun{}, err
+	}
+	engine := sim.NewEngine(cfg)
 	builder := func() Predictor { return predictor.MustNew(config) }
 	return engine.RunSuite(builder, config, suite, benches, budget), nil
 }
@@ -276,8 +304,12 @@ type ServiceConfig struct {
 // serve its Handler, and stop it with Drain. A multi-machine service is
 // imlid -coordinator with a cmd/imliworker fleet (DESIGN.md §14).
 func NewService(cfg ServiceConfig, opts ...Option) (*Service, error) {
+	engCfg, err := engineConfig("NewService", opts)
+	if err != nil {
+		return nil, err
+	}
 	return serve.NewServer(serve.Config{
-		Engine:        sim.NewEngine(applyOptions(opts).cfg),
+		Engine:        sim.NewEngine(engCfg),
 		JobWorkers:    cfg.JobWorkers,
 		QueueDepth:    cfg.QueueDepth,
 		DefaultBudget: cfg.DefaultBudget,

@@ -2,6 +2,7 @@ package imli_test
 
 import (
 	"context"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -260,6 +261,30 @@ func TestFacadeExperimentOptions(t *testing.T) {
 	}
 	if rep1.Text != rep2.Text {
 		t.Error("cached experiment differs from fresh run")
+	}
+}
+
+// TestFacadeRejectsExperimentOptions: SimulateSuite and NewService run
+// no experiment, so WithSeeds and WithProgress are errors naming the
+// option there, not options that silently do nothing.
+func TestFacadeRejectsExperimentOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  imli.Option
+	}{
+		{"WithSeeds", imli.WithSeeds(0, 1, 2)},
+		{"WithProgress", imli.WithProgress(io.Discard)},
+	} {
+		if run, err := imli.SimulateSuite("gshare", "cbp4", 1000, tc.opt); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("SimulateSuite with %s: error %v, %d results", tc.name, err, len(run.Results))
+		}
+		svc, err := imli.NewService(imli.ServiceConfig{}, tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("NewService with %s: error %v", tc.name, err)
+		}
+		if svc != nil {
+			svc.Drain(context.Background())
+		}
 	}
 }
 

@@ -16,10 +16,13 @@ import (
 )
 
 // Engine holds the parsed values of the shared engine flags. Every
-// flag but -stream-mem binds straight into the embedded engine
-// configuration.
+// flag but -cache-dir and -stream-mem binds straight into the embedded
+// engine configuration.
 type Engine struct {
 	sim.EngineConfig
+	// CacheDir is -cache-dir; Config opens the engine's Store there
+	// when it is non-empty.
+	CacheDir string
 	// StreamMemMiB is -stream-mem in MiB (0 default, negative
 	// disables); Config converts it to EngineConfig.StreamMemory.
 	StreamMemMiB int
@@ -83,11 +86,11 @@ func PositiveDuration(name string, v time.Duration) error {
 }
 
 // Config validates the parsed flags and maps them onto an engine
-// configuration, converting -stream-mem from MiB (a negative value
-// stays negative, which disables materialization). -shards must be at
-// least 1 and -parallel at least 0 (0 means GOMAXPROCS): the engine
-// would otherwise run a value below those as 1 shard or GOMAXPROCS
-// workers without a word.
+// configuration: it opens the result store at -cache-dir and converts
+// -stream-mem from MiB (a negative value stays negative, which
+// disables materialization). -shards must be at least 1 and -parallel
+// at least 0 (0 means GOMAXPROCS): the engine would otherwise run a
+// value below those as 1 shard or GOMAXPROCS workers without a word.
 func (e *Engine) Config() (sim.EngineConfig, error) {
 	if e.Shards < 1 {
 		return sim.EngineConfig{}, fmt.Errorf("-shards must be at least 1, got %d", e.Shards)
@@ -96,6 +99,9 @@ func (e *Engine) Config() (sim.EngineConfig, error) {
 		return sim.EngineConfig{}, fmt.Errorf("-parallel must be >= 0 (0 = GOMAXPROCS), got %d", e.Workers)
 	}
 	cfg := e.EngineConfig
+	if e.CacheDir != "" {
+		cfg.Store = sim.OpenStore(e.CacheDir)
+	}
 	cfg.StreamMemory = int64(e.StreamMemMiB) << 20
 	return cfg, nil
 }

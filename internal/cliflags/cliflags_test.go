@@ -85,12 +85,15 @@ func TestSeedListRejectsNonPositive(t *testing.T) {
 func TestConfigMapsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	e := Register(fs)
-	if err := fs.Parse([]string{"-parallel", "4", "-shards", "3", "-exact-shards"}); err != nil {
+	if err := fs.Parse([]string{"-parallel", "4", "-shards", "3", "-exact-shards", "-cache-dir", "cache"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := e.Config()
-	if err != nil || cfg.Workers != 4 || cfg.Shards != 3 || !cfg.ExactShards {
+	if err != nil || cfg.Workers != 4 || cfg.Shards != 3 || !cfg.ExactShards || cfg.Store == nil || cfg.Store.Dir() != "cache" {
 		t.Errorf("Config() = %+v, %v", cfg, err)
+	}
+	if cfg, err := Register(flag.NewFlagSet("test", flag.ContinueOnError)).Config(); err != nil || cfg.Store != nil {
+		t.Errorf("Config() without -cache-dir = %+v, %v, want no store", cfg, err)
 	}
 }
 

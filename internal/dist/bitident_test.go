@@ -77,7 +77,7 @@ func TestDistributedBitIdentityAllConfigs(t *testing.T) {
 	serialExact := sim.NewEngine(sim.EngineConfig{Shards: shards, ExactShards: true})
 	distExact := sim.NewEngine(sim.EngineConfig{
 		Shards: shards, ExactShards: true,
-		CacheDir: t.TempDir(), Remote: cluster.Coordinator,
+		Store: sim.OpenStore(t.TempDir()), Remote: cluster.Coordinator,
 	})
 	// Plain warm-up sharding: each shard is its own leased item.
 	serialPlain := sim.NewEngine(sim.EngineConfig{Shards: shards})
@@ -114,7 +114,7 @@ func TestDistributedStoreIsMergePoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	cfg := sim.EngineConfig{Shards: 3, ExactShards: true, CacheDir: t.TempDir(), Remote: cluster.Coordinator}
+	cfg := sim.EngineConfig{Shards: 3, ExactShards: true, Store: sim.OpenStore(t.TempDir()), Remote: cluster.Coordinator}
 	e1 := sim.NewEngine(cfg)
 	run1 := e1.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 4000)
 	dispatched := cluster.Coordinator.Stats().Dispatched

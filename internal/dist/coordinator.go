@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,15 +47,6 @@ type CoordinatorConfig struct {
 	// coordinator re-dispatches it; <=0 means 30s. Lease requests check
 	// expiry, and a waiting one wakes at the earliest lease deadline.
 	LeaseTTL time.Duration
-	// MaxFailures is how many worker-reported error completions an
-	// item absorbs before the coordinator fails it (failing the jobs
-	// waiting on it); <=0 means 3. Worker crashes are not failures —
-	// a crashed worker's lease expires and the item re-dispatches
-	// indefinitely.
-	MaxFailures int
-	// KeepDone bounds how many completed items are retained for
-	// duplicate detection and result re-delivery; <=0 means 4096.
-	KeepDone int
 }
 
 // ErrClosed is returned by RunItem when the coordinator is closed
@@ -66,6 +58,16 @@ var ErrClosed = errors.New("dist: coordinator closed")
 // limits how long an idle worker's request is held open.
 const maxLeaseWait = 10 * time.Second
 
+// maxFailures is how many worker-reported error completions an item
+// absorbs before the coordinator fails it (failing the jobs waiting on
+// it). Worker crashes are not failures: a crashed worker's lease
+// expires and the item re-dispatches indefinitely.
+const maxFailures = 3
+
+// keepDone bounds how many completed items are retained for duplicate
+// detection and result re-delivery.
+const keepDone = 4096
+
 // itemState is a work item's scheduling state.
 type itemState int
 
@@ -73,7 +75,7 @@ const (
 	statePending itemState = iota // queued, waiting for a lease
 	stateLeased                   // held by a worker under a live lease
 	stateDone                     // first successful completion arrived
-	stateFailed                   // MaxFailures error completions
+	stateFailed                   // maxFailures error completions
 )
 
 // workItem is the coordinator's record of one dispatched ItemSpec.
@@ -104,9 +106,7 @@ type lease struct {
 // of a distributed run. Create with NewCoordinator, expose with
 // Handler, stop with Close.
 type Coordinator struct {
-	ttl      time.Duration
-	maxFail  int
-	keepDone int
+	ttl time.Duration
 
 	mu        sync.Mutex
 	items     map[string]*workItem // live + retained-done items by key
@@ -134,14 +134,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
 	}
-	if cfg.MaxFailures <= 0 {
-		cfg.MaxFailures = 3
-	}
-	if cfg.KeepDone <= 0 {
-		cfg.KeepDone = 4096
-	}
 	return &Coordinator{
-		ttl: cfg.LeaseTTL, maxFail: cfg.MaxFailures, keepDone: cfg.KeepDone,
+		ttl:    cfg.LeaseTTL,
 		items:  map[string]*workItem{},
 		leases: map[string]*lease{},
 		closed: make(chan struct{}),
@@ -183,7 +177,7 @@ func itemKey(spec sim.ItemSpec) string {
 // RunItem implements sim.RemoteRunner: it enqueues the item (or joins
 // the in-flight entry — concurrent identical requests share one
 // execution, like the engine's own dedup layers) and blocks until a
-// worker delivers the result, the item exhausts MaxFailures, ctx is
+// worker delivers the result, the item exhausts maxFailures, ctx is
 // canceled, or the coordinator closes. When the last waiter's ctx ends
 // while the item is still pending, the item is withdrawn, so a
 // canceled job's work does not run on the fleet; a leased item runs
@@ -338,7 +332,7 @@ func (c *Coordinator) requeueLocked(it *workItem) {
 // bit-identical against the first and discarded (Duplicate), and one
 // for an item the coordinator has no record of — e.g. from before a
 // coordinator restart — is acknowledged but not credited (Accepted
-// false). Error completions count toward the item's MaxFailures
+// false). Error completions count toward the item's maxFailures
 // budget and requeue it until the budget is exhausted. A completion
 // asking for Next gets the sender's next lease in the acknowledgment
 // if an item is pending at that moment; it never waits for one.
@@ -373,7 +367,7 @@ func (c *Coordinator) completeLocked(comp client.WorkCompletion) client.WorkAck 
 	switch it.state {
 	case stateDone, stateFailed:
 		c.duplicates++
-		if it.state == stateDone && comp.Error == "" && !resultsEqual(it.results, fromWireResults(comp.Results)) {
+		if it.state == stateDone && comp.Error == "" && !slices.Equal(it.results, fromWireResults(comp.Results)) {
 			// Deterministic items make duplicate payloads bit-identical;
 			// a mismatch means a worker simulated dishonestly (or a
 			// registry drifted between binaries) and must be surfaced.
@@ -406,7 +400,7 @@ func (c *Coordinator) completeLocked(comp client.WorkCompletion) client.WorkAck 
 	return client.WorkAck{Accepted: true, Stale: stale}
 }
 
-// failLocked charges one failure against the item: past MaxFailures
+// failLocked charges one failure against the item: past maxFailures
 // the item fails (waiters get the error, and the item leaves the index
 // so a later identical request retries fresh); before that it requeues
 // — unless it is pending already, or another worker holds a newer
@@ -414,7 +408,7 @@ func (c *Coordinator) completeLocked(comp client.WorkCompletion) client.WorkAck 
 func (c *Coordinator) failLocked(it *workItem, msg string, wasCurrentLease bool) client.WorkAck {
 	c.failures++
 	it.failures++
-	if it.failures >= c.maxFail {
+	if it.failures >= maxFailures {
 		it.state = stateFailed
 		it.err = fmt.Errorf("dist: item failed %d times, last: %s", it.failures, msg)
 		delete(c.items, it.key)
@@ -428,10 +422,10 @@ func (c *Coordinator) failLocked(it *workItem, msg string, wasCurrentLease bool)
 }
 
 // retainDoneLocked keeps the completed item for duplicate detection,
-// evicting the oldest retained completion past the KeepDone bound.
+// evicting the oldest retained completion past the keepDone bound.
 func (c *Coordinator) retainDoneLocked(it *workItem) {
 	c.doneOrder = append(c.doneOrder, it.key)
-	for len(c.doneOrder) > c.keepDone {
+	for len(c.doneOrder) > keepDone {
 		delete(c.items, c.doneOrder[0])
 		c.doneOrder = c.doneOrder[1:]
 	}
@@ -457,19 +451,6 @@ func (c *Coordinator) Stats() client.WorkStats {
 		}
 	}
 	return st
-}
-
-// resultsEqual compares two result slices counter for counter.
-func resultsEqual(a, b []sim.Result) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // toWireItem / fromWireItem / toWireResults / fromWireResults convert

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -170,30 +171,32 @@ func TestDuplicateMismatchIsCounted(t *testing.T) {
 }
 
 func TestErrorCompletionsExhaustBudgetThenFail(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{MaxFailures: 2})
+	c := NewCoordinator(CoordinatorConfig{})
 	defer c.Close()
 	spec := specN(1)
 	ch := startItem(c, spec)
 
+	// Each failure before the last requeues the item; the last
+	// exhausts the budget.
+	for i := 1; i < maxFailures; i++ {
+		l := awaitLease(t, c, "w")
+		ack := c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Error: fmt.Sprintf("boom %d", i)})
+		if !ack.Accepted {
+			t.Fatalf("error %d ack = %+v", i, ack)
+		}
+		select {
+		case out := <-ch:
+			t.Fatalf("RunItem returned after %d of %d failures: %+v", i, maxFailures, out)
+		default:
+		}
+	}
 	l := awaitLease(t, c, "w")
-	ack := c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Error: "boom 1"})
-	if !ack.Accepted {
-		t.Fatalf("first error ack = %+v", ack)
-	}
-	select {
-	case out := <-ch:
-		t.Fatalf("RunItem returned early: %+v", out)
-	default:
-	}
-
-	// The failure requeued it; the second error exhausts the budget.
-	l = awaitLease(t, c, "w")
-	c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Error: "boom 2"})
+	c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Error: "boom last"})
 	out := <-ch
-	if out.err == nil || !strings.Contains(out.err.Error(), "boom 2") {
+	if out.err == nil || !strings.Contains(out.err.Error(), "boom last") {
 		t.Fatalf("RunItem err = %v, want the last failure", out.err)
 	}
-	if st := c.Stats(); st.Failures != 2 {
+	if st := c.Stats(); st.Failures != maxFailures {
 		t.Fatalf("stats = %+v", st)
 	}
 
@@ -211,7 +214,7 @@ func TestErrorCompletionsExhaustBudgetThenFail(t *testing.T) {
 // result — an exact chain's too, merged over its shards, so one result
 // per shard is malformed.
 func TestWrongResultCountIsAFailure(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{MaxFailures: 1})
+	c := NewCoordinator(CoordinatorConfig{})
 	defer c.Close()
 	for _, tc := range []struct {
 		spec    sim.ItemSpec
@@ -221,12 +224,15 @@ func TestWrongResultCountIsAFailure(t *testing.T) {
 		{sim.ItemSpec{Config: "gshare", Suite: "cbp4", Bench: "b", Seed: 2, Budget: 1000, Shards: 3, Exact: true}, 3},
 	} {
 		ch := startItem(c, tc.spec)
-		l := awaitLease(t, c, "w")
 		var results []client.WorkResult
 		for i := 0; i < tc.results; i++ {
 			results = append(results, resultsFor(tc.spec)...)
 		}
-		c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Results: results})
+		// Every malformed completion charges the failure budget.
+		for i := 0; i < maxFailures; i++ {
+			l := awaitLease(t, c, "w")
+			c.Complete(client.WorkCompletion{Lease: l.Lease, Item: l.Item, Results: results})
+		}
 		out := <-ch
 		if out.err == nil || !strings.Contains(out.err.Error(), "want 1") {
 			t.Fatalf("%+v: RunItem err = %v, want result-count failure", tc.spec, out.err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -18,7 +19,6 @@ import (
 // against: each indexed item's state, the pending items in grant order,
 // the live leases and the expected counters.
 type model struct {
-	maxFail  int
 	state    map[sim.ItemSpec]itemState // indexed items: pending, leased or done
 	failures map[sim.ItemSpec]int
 	current  map[sim.ItemSpec]string // a leased item's lease
@@ -112,13 +112,13 @@ func (m *model) complete(id string, spec sim.ItemSpec, errored bool, results []c
 		return client.WorkAck{}, ""
 	case s == stateDone:
 		m.st.Duplicates++
-		if !errored && !resultsEqual(fromWireResults(results), fromWireResults(resultsFor(spec))) {
+		if !errored && !slices.Equal(fromWireResults(results), fromWireResults(resultsFor(spec))) {
 			m.st.Mismatches++
 		}
 		return client.WorkAck{Accepted: true, Duplicate: true}, ""
 	case errored || len(results) != 1:
 		m.st.Failures++
-		if m.failures[spec]++; m.failures[spec] >= m.maxFail {
+		if m.failures[spec]++; m.failures[spec] >= maxFailures {
 			m.drop(spec)
 			return client.WorkAck{Accepted: true}, "failed"
 		}
@@ -175,10 +175,9 @@ func runModel(t *testing.T, seed uint64, steps int) {
 			t.Logf("failed with seed %d", seed)
 		}
 	}()
-	const maxFail = 2
-	c := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Hour, MaxFailures: maxFail})
+	c := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Hour})
 	defer c.Close()
-	m := &model{maxFail: maxFail, state: map[sim.ItemSpec]itemState{}, failures: map[sim.ItemSpec]int{},
+	m := &model{state: map[sim.ItemSpec]itemState{}, failures: map[sim.ItemSpec]int{},
 		current: map[sim.ItemSpec]string{}, leases: map[string]sim.ItemSpec{}}
 	rng := num.NewRand(seed)
 	specs := []sim.ItemSpec{specN(1), specN(2), specN(3), specN(4), specN(5), specN(6)}

@@ -252,10 +252,14 @@ func runE10(r *Runner) Report {
 	b.WriteString("costs ~0.002 MPKI — the component needs no precise speculative management.\n\n")
 	t := &stats.Table{Header: []string{"suite", "immediate", "delayed(63)", "loss"}}
 	var totalLoss float64
+	const key = "tage-gsc+imli@delay63"
 	for _, s := range suiteNames {
 		imm := r.Suite("tage-gsc+imli", s).AvgMPKI()
-		del := r.SuiteWith("tage-gsc+imli@delay63", s, func() predictor.Predictor {
-			return predictor.DelayedOHComposite(63)
+		del := r.SuiteWith(key, s, func() predictor.Predictor {
+			return predictor.NewCustom(key, predictor.Options{
+				Base: predictor.BaseTAGEGSC, IMLISIC: true, IMLIOH: true, IMLIIndexInsert: true,
+				OHDelay: 63,
+			})
 		}).AvgMPKI()
 		t.AddRow(s, stats.F(imm), stats.F(del), stats.F(del-imm))
 		vals["loss."+s] = del - imm

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/predictor"
 	"repro/internal/sim"
 )
 
@@ -80,7 +81,7 @@ func TestRunnerDiskCacheIncremental(t *testing.T) {
 	// experiment runs and CI incremental. Each runner gets an engine of
 	// its own, so its stats count only its own work.
 	dir := t.TempDir()
-	cfg := sim.EngineConfig{Shards: 2, CacheDir: dir}
+	cfg := sim.EngineConfig{Shards: 2, Store: sim.OpenStore(dir)}
 
 	r1 := NewRunner(Params{Budget: 3000, Engine: sim.NewEngine(cfg)})
 	rep1 := runE1(r1)
@@ -118,13 +119,38 @@ func TestRunnerDiskCacheIncremental(t *testing.T) {
 
 func TestRunnerProgressReportsCache(t *testing.T) {
 	dir := t.TempDir()
-	r1 := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir})})
+	r1 := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{Store: sim.OpenStore(dir)})})
 	r1.Suite("bimodal", "cbp4")
 	var buf strings.Builder
-	r2 := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir}), Progress: &buf})
+	r2 := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{Store: sim.OpenStore(dir)}), Progress: &buf})
 	r2.Suite("bimodal", "cbp4")
 	if !strings.Contains(buf.String(), "40/40 shards cached") {
 		t.Errorf("progress line missing cache accounting: %q", buf.String())
+	}
+}
+
+// TestProgressColumnsAlign: the suite and MPKI columns of the progress
+// lines sit at the same offsets for an 8- and a 26-character
+// configuration key.
+func TestProgressColumnsAlign(t *testing.T) {
+	var buf strings.Builder
+	r := NewRunner(Params{Budget: 1000, Progress: &buf})
+	r.Suite("tage-gsc", "cbp4")
+	r.SuiteWith("tage-gsc+imli/checkpointed", "cbp4", func() predictor.Predictor {
+		p, err := sim.NewSpecPredictor("tage-gsc+imli", sim.SpecCheckpointed)
+		if err != nil {
+			panic(err)
+		}
+		return p
+	})
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("progress = %q, want two lines", buf.String())
+	}
+	for _, col := range []string{"cbp4:", " MPKI"} {
+		if a, b := strings.Index(lines[0], col), strings.Index(lines[1], col); a < 0 || a != b {
+			t.Errorf("%q at offsets %d and %d:\n%s", col, a, b, buf.String())
+		}
 	}
 }
 
@@ -133,7 +159,7 @@ func TestSuiteAtBudgetResumes(t *testing.T) {
 	// the snapshot layer on resume from each other's end snapshots, and
 	// the full-budget call lands on the same cache entry as Suite.
 	dir := t.TempDir()
-	r := NewRunner(Params{Budget: 8000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir, ExactShards: true})})
+	r := NewRunner(Params{Budget: 8000, Engine: sim.NewEngine(sim.EngineConfig{Store: sim.OpenStore(dir), ExactShards: true})})
 	r.SuiteAtBudget("gshare", "cbp4", 2000)
 	r.SuiteAtBudget("gshare", "cbp4", 4000)
 	got := r.SuiteAtBudget("gshare", "cbp4", 8000)
@@ -193,7 +219,7 @@ func TestSpecExperimentsHonorCancel(t *testing.T) {
 func TestSpecExperimentsRunOnEngine(t *testing.T) {
 	dir := t.TempDir()
 	run := func() (map[string]map[string]float64, sim.EngineStats) {
-		r := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir})})
+		r := NewRunner(Params{Budget: 2000, Engine: sim.NewEngine(sim.EngineConfig{Store: sim.OpenStore(dir)})})
 		vals := map[string]map[string]float64{}
 		for _, id := range []string{"spec", "localspec"} {
 			e, err := ByID(id)

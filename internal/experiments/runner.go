@@ -5,7 +5,7 @@
 // EXPERIMENTS.md (render it with cmd/imlireport). Suite runs are
 // cached inside a Runner so experiments that share configurations
 // (most of them) do not re-simulate, and in the runner's engine's
-// on-disk result store, when it has one (sim.EngineConfig.CacheDir),
+// on-disk result store, when it has one (sim.EngineConfig.Store),
 // so repeated runs are incremental across processes.
 package experiments
 
@@ -259,12 +259,13 @@ func (r *Runner) suiteAt(cacheKey, suite string, builder func() predictor.Predic
 	close(ch)
 	r.mu.Unlock()
 	if r.params.Progress != nil {
+		// The name comes after the fixed-width columns, so no name's
+		// length moves them.
+		line := fmt.Sprintf("ran %s: %7.3f MPKI  %s", suite, run.AvgMPKI(), name)
 		if run.CachedShards > 0 {
-			fmt.Fprintf(r.params.Progress, "ran %-24s %s: %.3f MPKI (%d/%d shards cached)\n",
-				name, suite, run.AvgMPKI(), run.CachedShards, run.CachedShards+run.RanShards)
-		} else {
-			fmt.Fprintf(r.params.Progress, "ran %-24s %s: %.3f MPKI\n", name, suite, run.AvgMPKI())
+			line += fmt.Sprintf(" (%d/%d shards cached)", run.CachedShards, run.CachedShards+run.RanShards)
 		}
+		fmt.Fprintln(r.params.Progress, line)
 	}
 	return run
 }

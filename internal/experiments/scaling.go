@@ -119,7 +119,7 @@ func runScaling(r *Runner) Report {
 	// Branch-budget sweep: the same comparison as the predictor warms
 	// over longer and longer stream prefixes. The sweep runs ascending,
 	// so on an engine with the snapshot layer enabled (ExactShards and
-	// a CacheDir) each budget resumes from the previous one's end
+	// a Store) each budget resumes from the previous one's end
 	// snapshot and the whole sweep costs max(budget) simulation work
 	// (DESIGN.md §8).
 	b.WriteString("\nBranch-budget scaling (prefixes of the same streams; ascending, so\n")

@@ -49,7 +49,7 @@ func TestSeedSweepExactShards(t *testing.T) {
 	plain := NewRunner(Params{Budget: 2000, Seeds: seeds}).SuiteSweep("gshare", "cbp4")
 	sharded := NewRunner(Params{
 		Budget: 2000, Seeds: seeds,
-		Engine: sim.NewEngine(sim.EngineConfig{Shards: 3, ExactShards: true, CacheDir: t.TempDir()}),
+		Engine: sim.NewEngine(sim.EngineConfig{Shards: 3, ExactShards: true, Store: sim.OpenStore(t.TempDir())}),
 	}).SuiteSweep("gshare", "cbp4")
 	for s := range plain {
 		for i := range plain[s].Results {

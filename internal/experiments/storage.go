@@ -48,15 +48,10 @@ func runStorage(r *Runner) Report {
 	b.WriteString("\nper-fetch-block speculative checkpoint:\n")
 	t2 := &stats.Table{Header: []string{"configuration", "checkpoint bits", "in-flight window bits"}}
 	for _, cfg := range []string{"tage-gsc", "tage-gsc+imli", "tage-sc-l", "tage-gsc+wh"} {
-		p := predictor.MustNew(cfg)
-		cp, _ := p.(predictor.Checkpointer)
-		comp, _ := p.(*predictor.Composite)
-		window := 0
-		if comp != nil {
-			window = comp.SpeculativeSearchBits()
-		}
-		t2.AddRow(cfg, fmt.Sprintf("%d", cp.CheckpointBits()), fmt.Sprintf("%d", window))
-		vals["checkpoint."+cfg] = float64(cp.CheckpointBits())
+		comp := predictor.MustNew(cfg).(*predictor.Composite)
+		checkpoint, window := comp.CheckpointBits(), comp.SpeculativeSearchBits()
+		t2.AddRow(cfg, fmt.Sprintf("%d", checkpoint), fmt.Sprintf("%d", window))
+		vals["checkpoint."+cfg] = float64(checkpoint)
 		vals["window."+cfg] = float64(window)
 	}
 	b.WriteString(t2.String())
@@ -79,8 +74,7 @@ func runStorage(r *Runner) Report {
 	// Full storage breakdown of the flagship configuration.
 	b.WriteString("\ntage-gsc+imli storage breakdown:\n")
 	t3 := &stats.Table{Header: []string{"component", "Kbits"}}
-	comp := predictor.MustNew("tage-gsc+imli").(predictor.Breakdowner)
-	for _, it := range comp.StorageBreakdown() {
+	for _, it := range predictor.MustNew("tage-gsc+imli").(*predictor.Composite).StorageBreakdown() {
 		t3.AddRow(it.Name, fmt.Sprintf("%.1f", float64(it.Bits)/1024))
 	}
 	b.WriteString(t3.String())

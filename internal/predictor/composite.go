@@ -57,12 +57,9 @@ type Options struct {
 	WHCfg  *wormhole.Config
 	// IMLIBits overrides the IMLI counter width (0 = paper default).
 	IMLIBits int
-	// TageCfg, SCCfg and GEHLCfg override the base predictor
-	// geometries (storage-scaling experiments); nil selects the paper
-	// defaults.
+	// TageCfg overrides the TAGE geometry (the storage-scaling
+	// experiment); nil selects the paper default.
 	TageCfg *tage.Config
-	SCCfg   *sc.Config
-	GEHLCfg *gehl.Config
 
 	name string
 }
@@ -149,12 +146,8 @@ func NewComposite(opts Options) *Composite {
 		if opts.TageCfg != nil {
 			tcfg = *opts.TageCfg
 		}
-		scfg := sc.DefaultConfig()
-		if opts.SCCfg != nil {
-			scfg = *opts.SCCfg
-		}
 		c.tage = tage.New(tcfg, c.g, c.path, c.bank)
-		c.gsc = sc.New(scfg, c.path, c.bank)
+		c.gsc = sc.New(sc.DefaultConfig(), c.path, c.bank)
 		tree := c.gsc.Tree()
 		if c.sic != nil {
 			tree.Add(c.sic)
@@ -175,11 +168,7 @@ func NewComposite(opts Options) *Composite {
 			}
 		}
 	case BaseGEHL:
-		gcfg := gehl.DefaultConfig()
-		if opts.GEHLCfg != nil {
-			gcfg = *opts.GEHLCfg
-		}
-		c.gehl = gehl.New(gcfg, c.path, c.bank)
+		c.gehl = gehl.New(gehl.DefaultConfig(), c.path, c.bank)
 		tree := c.gehl.Tree()
 		if c.sic != nil {
 			tree.Add(c.sic)
@@ -286,7 +275,8 @@ func (c *Composite) StorageBits() int {
 	return total
 }
 
-// StorageBreakdown implements Breakdowner.
+// StorageBreakdown itemises StorageBits by component (the storage
+// experiment's budget report).
 func (c *Composite) StorageBreakdown() []StorageItem {
 	var items []StorageItem
 	if c.tage != nil {
@@ -332,8 +322,9 @@ func (c *Composite) StorageBreakdown() []StorageItem {
 	return items
 }
 
-// CheckpointBits implements Checkpointer: the per-fetch-block
-// speculative state beyond the global history pointer.
+// CheckpointBits is the hardware width of one per-fetch-block
+// speculative checkpoint: the global history pointer, plus the IMLI
+// counter and the OH PIPE vector when configured (the §4.4 argument).
 func (c *Composite) CheckpointBits() int {
 	bits := c.g.CheckpointBits() // speculative global history pointer
 	if c.imli != nil {

@@ -38,19 +38,6 @@ type StorageItem struct {
 	Bits int
 }
 
-// Breakdowner is implemented by predictors that can itemise their
-// storage (used by the E13 budget report).
-type Breakdowner interface {
-	StorageBreakdown() []StorageItem
-}
-
-// Checkpointer is implemented by predictors with speculative state
-// that can be checkpointed per fetch block; CheckpointBits is the
-// hardware width of one checkpoint (the §4.4 argument).
-type Checkpointer interface {
-	CheckpointBits() int
-}
-
 // Builder constructs a predictor.
 type Builder func() Predictor
 

@@ -1,10 +1,12 @@
 package predictor
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 
 	"repro/internal/num"
+	"repro/internal/snap"
 	"repro/internal/trace"
 )
 
@@ -111,13 +113,9 @@ func TestDeterminism(t *testing.T) {
 
 func TestStorageBreakdownSums(t *testing.T) {
 	for _, n := range []string{"tage-gsc+imli", "tage-sc-l+imli", "gehl+imli+l", "tage-gsc+wh"} {
-		p := MustNew(n)
-		bd, ok := p.(Breakdowner)
-		if !ok {
-			t.Fatalf("%s: no breakdown", n)
-		}
+		p := MustNew(n).(*Composite)
 		sum := 0
-		for _, it := range bd.StorageBreakdown() {
+		for _, it := range p.StorageBreakdown() {
 			if it.Bits < 0 {
 				t.Errorf("%s: negative component %q", n, it.Name)
 			}
@@ -140,8 +138,8 @@ func TestIMLIAddsPaperBudget(t *testing.T) {
 }
 
 func TestCheckpointBits(t *testing.T) {
-	base := MustNew("tage-gsc").(Checkpointer).CheckpointBits()
-	imli := MustNew("tage-gsc+imli").(Checkpointer).CheckpointBits()
+	base := MustNew("tage-gsc").(*Composite).CheckpointBits()
+	imli := MustNew("tage-gsc+imli").(*Composite).CheckpointBits()
 	if imli-base != 26 {
 		t.Errorf("IMLI adds %d checkpoint bits, paper says 26", imli-base)
 	}
@@ -181,10 +179,29 @@ func TestRelativeBudgets(t *testing.T) {
 	}
 }
 
-func TestDelayedOHComposite(t *testing.T) {
-	p := DelayedOHComposite(63)
-	if feed(p, 3, 2000) <= 0 {
+// TestOHDelayOption: OHDelay set through NewCustom reaches the IMLI-OH
+// component (its pending delayed writes are part of the snapshot), and
+// the composite is named by the key the engine pools and stores it
+// under.
+func TestOHDelayOption(t *testing.T) {
+	opts := Options{Base: BaseTAGEGSC, IMLISIC: true, IMLIOH: true, IMLIIndexInsert: true}
+	immediate := NewCustom("tage-gsc+imli", opts)
+	opts.OHDelay = 63
+	delayed := NewCustom("tage-gsc+imli@delay63", opts)
+	if got := delayed.Name(); got != "tage-gsc+imli@delay63" {
+		t.Errorf("Name() = %q, want the key", got)
+	}
+	if feed(delayed, 3, 2000) <= 0 {
 		t.Error("delayed composite did not run")
+	}
+	feed(immediate, 3, 2000)
+	snapshot := func(c *Composite) []byte {
+		e := snap.NewEncoder()
+		c.Snapshot(e)
+		return e.Bytes()
+	}
+	if bytes.Equal(snapshot(immediate), snapshot(delayed)) {
+		t.Error("OHDelay 63 left the state equal to immediate updates")
 	}
 }
 

@@ -55,17 +55,6 @@ func init() {
 	Register("gshare", func() Predictor { return newGshareAdapter() })
 }
 
-// DelayedOHComposite builds a tage-gsc+imli configuration whose IMLI
-// outer-history table updates are delayed by delay conditional
-// branches (experiment E10, §4.3.2).
-func DelayedOHComposite(delay int) Predictor {
-	opts := Options{
-		Base: BaseTAGEGSC, IMLISIC: true, IMLIOH: true, IMLIIndexInsert: true,
-		OHDelay: delay, name: "tage-gsc+imli(delayed-oh)",
-	}
-	return NewComposite(opts)
-}
-
 // bimodalAdapter lifts the bimodal table to the Predictor interface.
 type bimodalAdapter struct{ t *bimodal.Table }
 

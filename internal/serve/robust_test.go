@@ -50,7 +50,7 @@ func crashMidJob(t *testing.T, dir string, spec client.Spec, kill int) (string, 
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(serve.Config{
-		Engine:  sim.NewEngine(sim.EngineConfig{CacheDir: dir, ExactShards: true, Workers: 1}),
+		Engine:  sim.NewEngine(sim.EngineConfig{Store: sim.OpenStore(dir), ExactShards: true, Workers: 1}),
 		Journal: jnl,
 	})
 	hs := httptest.NewServer(srv.Handler())
@@ -117,7 +117,7 @@ func TestKillMidJobReplayBitIdentical(t *testing.T) {
 				t.Fatalf("pending after crash = %+v, want exactly %s", p, jobID)
 			}
 			srv2 := serve.NewServer(serve.Config{
-				Engine:  sim.NewEngine(sim.EngineConfig{CacheDir: dir, ExactShards: true}),
+				Engine:  sim.NewEngine(sim.EngineConfig{Store: sim.OpenStore(dir), ExactShards: true}),
 				Journal: jnl2,
 			})
 			hs2 := httptest.NewServer(srv2.Handler())
@@ -163,7 +163,7 @@ func TestWaitSurvivesInjectedFaults(t *testing.T) {
 	defer faultinject.Disable()
 	dir := t.TempDir()
 	srv := serve.NewServer(serve.Config{
-		Engine: sim.NewEngine(sim.EngineConfig{CacheDir: dir, ExactShards: true}),
+		Engine: sim.NewEngine(sim.EngineConfig{Store: sim.OpenStore(dir), ExactShards: true}),
 	})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -233,7 +233,7 @@ func TestDrainUnderLoadLosesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := sim.NewEngine(sim.EngineConfig{CacheDir: dir})
+	engine := sim.NewEngine(sim.EngineConfig{Store: sim.OpenStore(dir)})
 	srv := serve.NewServer(serve.Config{Engine: engine, Journal: jnl, JobWorkers: 2, QueueDepth: 256})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()

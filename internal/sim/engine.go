@@ -46,7 +46,7 @@ type EngineConfig struct {
 	// sharding introduces, and ExactShards for the bit-exact mode.
 	Shards int
 	// ExactShards turns on the predictor-state snapshot layer
-	// (DESIGN.md §8). With a Store (or CacheDir), an unsharded run
+	// (DESIGN.md §8). With a Store, an unsharded run
 	// saves its end-of-run predictor state, and a later, longer-budget
 	// run of the same (config, trace, seed) resumes from the longest
 	// stored prefix instead of record 0 — a budget sweep costs
@@ -65,10 +65,6 @@ type EngineConfig struct {
 	// Store, when non-nil, caches work-item results (and snapshots) on
 	// disk so repeated runs are incremental.
 	Store *Store
-	// CacheDir opens a Store rooted at the directory when Store is
-	// nil and the string is non-empty — the common case for callers
-	// plumbing a -cache-dir flag.
-	CacheDir string
 	// StreamMemory bounds the engine's materialized-stream cache
 	// (DESIGN.md §6): 0 means workload.DefaultStreamMemory, <0 makes
 	// the cache decline every stream so every shard regenerates its
@@ -152,9 +148,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Store == nil && cfg.CacheDir != "" {
-		cfg.Store = OpenStore(cfg.CacheDir)
-	}
 	return &Engine{
 		workers: cfg.Workers, shards: cfg.Shards, exact: cfg.ExactShards,
 		store: cfg.Store, streams: workload.NewStreamCache(cfg.StreamMemory, ""),
@@ -180,8 +173,8 @@ func (e *Engine) Stats() EngineStats {
 // ItemEvent reports one completed shard of one benchmark to a
 // RunSuiteContext progress callback.
 type ItemEvent struct {
-	// Config, Suite and Trace identify the work item's simulation.
-	Config, Suite, Trace string
+	// Trace names the work item's benchmark.
+	Trace string
 	// Shard is the shard index within its benchmark.
 	Shard int
 	// Done counts shards completed so far in this RunSuiteContext call;
@@ -303,8 +296,7 @@ func (e *Engine) RunSuiteContext(ctx context.Context, builder func() predictor.P
 				cached++
 			}
 			if onItem != nil {
-				onItem(ItemEvent{Config: name, Suite: suite, Trace: b.Name, Shard: shard,
-					Done: done, Total: total, Cached: hit})
+				onItem(ItemEvent{Trace: b.Name, Shard: shard, Done: done, Total: total, Cached: hit})
 			}
 		})
 	})

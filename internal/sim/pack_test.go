@@ -53,7 +53,7 @@ func TestExactChainSavesOnePack(t *testing.T) {
 	const config, budget, shards = "gshare", 9000, 3
 	b := workload.CBP4()[0]
 	dir := t.TempDir()
-	NewEngine(EngineConfig{Shards: shards, ExactShards: true, CacheDir: dir}).
+	NewEngine(EngineConfig{Shards: shards, ExactShards: true, Store: OpenStore(dir)}).
 		RunSuite(builderFor(config), config, "cbp4", []workload.Benchmark{b}, budget)
 
 	s := OpenStore(dir)

@@ -81,7 +81,7 @@ func TestPredictorPoolDropsCorruptRestore(t *testing.T) {
 	b := workload.CBP4()[0]
 	benches := []workload.Benchmark{b}
 	cb := &countingBuilder{config: config}
-	e := NewEngine(EngineConfig{Workers: 1, ExactShards: true, CacheDir: t.TempDir()})
+	e := NewEngine(EngineConfig{Workers: 1, ExactShards: true, Store: OpenStore(t.TempDir())})
 	e.RunSuite(cb.build, config, "cbp4", benches, 6000)
 	if cb.count() != 1 {
 		t.Fatalf("one item built %d predictors", cb.count())
@@ -118,7 +118,7 @@ func TestPredictorPoolReusesCanceledChain(t *testing.T) {
 	const config, budget, shards = "tage-gsc+imli", 12000, 4
 	benches := workload.CBP4()[:2]
 	cb := &countingBuilder{config: config}
-	e := NewEngine(EngineConfig{Workers: 1, Shards: shards, ExactShards: true, CacheDir: t.TempDir()})
+	e := NewEngine(EngineConfig{Workers: 1, Shards: shards, ExactShards: true, Store: OpenStore(t.TempDir())})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

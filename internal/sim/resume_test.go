@@ -24,13 +24,13 @@ func TestResumeBitIdentical(t *testing.T) {
 	const small, large = 8000, 20000
 	for _, streamMem := range []int64{0, -1} {
 		dir := t.TempDir()
-		warm := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir, StreamMemory: streamMem})
+		warm := NewEngine(EngineConfig{ExactShards: true, Store: OpenStore(dir), StreamMemory: streamMem})
 		warm.RunSuite(builderFor("tage-gsc+imli"), "tage-gsc+imli", "cbp4", benches, small)
 		if st := warm.Stats(); st.Resumed != 0 {
 			t.Fatalf("streamMem=%d: first run resumed from nothing: %+v", streamMem, st)
 		}
 
-		resumed := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir, StreamMemory: streamMem})
+		resumed := NewEngine(EngineConfig{ExactShards: true, Store: OpenStore(dir), StreamMemory: streamMem})
 		got := resumed.RunSuite(builderFor("tage-gsc+imli"), "tage-gsc+imli", "cbp4", benches, large)
 		st := resumed.Stats()
 		if st.Resumed != uint64(len(benches)) {
@@ -58,10 +58,10 @@ func TestResumeBitIdentical(t *testing.T) {
 func TestResumeIgnoresLongerSnapshots(t *testing.T) {
 	benches := workload.CBP4()[:1]
 	dir := t.TempDir()
-	e1 := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir})
+	e1 := NewEngine(EngineConfig{ExactShards: true, Store: OpenStore(dir)})
 	e1.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 20000)
 
-	e2 := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir})
+	e2 := NewEngine(EngineConfig{ExactShards: true, Store: OpenStore(dir)})
 	got := e2.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 6000)
 	if st := e2.Stats(); st.Resumed != 0 {
 		t.Errorf("shorter run resumed from a longer snapshot: %+v", st)
@@ -88,7 +88,7 @@ func TestBudgetSweepResumeWork(t *testing.T) {
 	for _, budget := range budgets {
 		cold.RunSuite(builderFor(config), config, "cbp4", bench, budget)
 	}
-	resume := NewEngine(EngineConfig{ExactShards: true, CacheDir: t.TempDir()})
+	resume := NewEngine(EngineConfig{ExactShards: true, Store: OpenStore(t.TempDir())})
 	for _, budget := range budgets {
 		resume.RunSuite(builderFor(config), config, "cbp4", bench, budget)
 	}
@@ -121,7 +121,7 @@ func TestExactShardsBitIdentical(t *testing.T) {
 		cfg  EngineConfig
 	}{
 		{"memory-chained", EngineConfig{Shards: 4, ExactShards: true}},
-		{"with-store", EngineConfig{Shards: 4, ExactShards: true, CacheDir: t.TempDir()}},
+		{"with-store", EngineConfig{Shards: 4, ExactShards: true, Store: OpenStore(t.TempDir())}},
 		{"callback-path", EngineConfig{Shards: 4, ExactShards: true, StreamMemory: -1}},
 	} {
 		ex := NewEngine(tc.cfg).RunSuite(builderFor("tage-gsc+imli"), "tage-gsc+imli", "cbp4", benches, budget)
@@ -141,7 +141,7 @@ func TestExactShardsCachedAndChained(t *testing.T) {
 	benches := workload.CBP4()[:2]
 	const budget = 12000
 	dir := t.TempDir()
-	cfg := EngineConfig{Shards: 3, ExactShards: true, CacheDir: dir}
+	cfg := EngineConfig{Shards: 3, ExactShards: true, Store: OpenStore(dir)}
 
 	first := NewEngine(cfg)
 	run1 := first.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, budget)
@@ -162,7 +162,7 @@ func TestExactShardsCachedAndChained(t *testing.T) {
 
 	// A longer unsharded run on the same store resumes from the exact
 	// chain's final snapshot (whose merged counters cover the prefix).
-	longer := NewEngine(EngineConfig{ExactShards: true, CacheDir: dir})
+	longer := NewEngine(EngineConfig{ExactShards: true, Store: OpenStore(dir)})
 	got := longer.RunSuite(builderFor("gshare"), "gshare", "cbp4", benches, 2*budget)
 	if st := longer.Stats(); st.Resumed != uint64(len(benches)) {
 		t.Errorf("longer run resumed %d of %d", st.Resumed, len(benches))
@@ -186,7 +186,7 @@ func TestExactShardsStoreLayout(t *testing.T) {
 	cold := NewEngine(EngineConfig{}).RunSuite(builderFor(config), config, "cbp4", benches, 2*budget)
 	for _, shards := range []int{1, 4} {
 		dir := t.TempDir()
-		cfg := EngineConfig{Shards: shards, ExactShards: true, CacheDir: dir}
+		cfg := EngineConfig{Shards: shards, ExactShards: true, Store: OpenStore(dir)}
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, budget)
 
 		results, snaps := 0, 0
@@ -282,7 +282,7 @@ func TestResumeSkipsUndecodableSnapshot(t *testing.T) {
 
 	t.Run("snapshots", func(t *testing.T) {
 		dir := t.TempDir()
-		cfg := EngineConfig{ExactShards: true, CacheDir: dir}
+		cfg := EngineConfig{ExactShards: true, Store: OpenStore(dir)}
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 6000)
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, 12000)
 		st := OpenStore(dir)
@@ -310,7 +310,7 @@ func TestResumeSkipsUndecodableSnapshot(t *testing.T) {
 		// The stream does not overshoot this budget, so the chain's final
 		// snapshot lies within it and is the first a re-run tries.
 		const budget, shards = 9000, 3
-		cfg := EngineConfig{Shards: shards, ExactShards: true, CacheDir: dir}
+		cfg := EngineConfig{Shards: shards, ExactShards: true, Store: OpenStore(dir)}
 		NewEngine(cfg).RunSuite(builderFor(config), config, "cbp4", benches, budget)
 		st := OpenStore(dir)
 		if pos := st.SnapshotPositions(at(0)); len(pos) != shards || pos[0] != budget {
@@ -340,7 +340,7 @@ func TestExactChainCancelResumes(t *testing.T) {
 	const config, budget, shards = "tage-gsc+imli", 12000, 4
 	b := workload.CBP4()[0]
 	benches := []workload.Benchmark{b}
-	cfg := EngineConfig{Shards: shards, ExactShards: true, CacheDir: t.TempDir()}
+	cfg := EngineConfig{Shards: shards, ExactShards: true, Store: OpenStore(t.TempDir())}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -355,7 +355,7 @@ func TestExactChainCancelResumes(t *testing.T) {
 	}
 	last := workload.ShardStart(budget, 2, shards)
 	group := SnapKey{Engine: EngineVersion, Config: config, Suite: "cbp4", Trace: b.Name, Seed: b.Seed}
-	if pos := OpenStore(cfg.CacheDir).SnapshotPositions(group); !slices.Equal(pos, []int{last, workload.ShardStart(budget, 1, shards)}) {
+	if pos := cfg.Store.SnapshotPositions(group); !slices.Equal(pos, []int{last, workload.ShardStart(budget, 1, shards)}) {
 		t.Fatalf("snapshot positions %v after canceling at shard 2 of %d", pos, shards)
 	}
 
@@ -384,7 +384,7 @@ func TestExactSweepResumesAcrossBudgets(t *testing.T) {
 	benches := workload.CBP4()[:2]
 	budgets := []int{4000, 8000, 12000}
 	dir := t.TempDir()
-	e := NewEngine(EngineConfig{Shards: shards, ExactShards: true, CacheDir: dir})
+	e := NewEngine(EngineConfig{Shards: shards, ExactShards: true, Store: OpenStore(dir)})
 	for _, budget := range budgets {
 		got := e.RunSuite(builderFor(config), config, "cbp4", benches, budget)
 		cold := NewEngine(EngineConfig{}).RunSuite(builderFor(config), config, "cbp4", benches, budget)
